@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .elliptic import jacobi_sn_cn_dn
+from .elliptic import SINGULAR_POINT_NAMES, jacobi_sn_cn_dn
 from .series import (
     convergence_domain,
     dl_coefficients,
@@ -28,8 +28,6 @@ from .symmetry import (
     gI_apply,
     sigma_and_h,
 )
-
-SINGULAR_POINT_NAMES = ("0", "K", "K+iKp", "iKp")
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class SolutionId:
 class SolutionGroup:
     """(singular point, exponent branch): one of the 8 equivalence sets."""
 
-    singular_point: str          # "0", "K", "K+iKp", "iKp"
+    singular_point: str          # one of SINGULAR_POINT_NAMES
     exponent_branch: str         # "plus" (gamma+1) | "minus" (-gamma)
 
 

@@ -32,6 +32,14 @@ from .errors import (
 #: basic three, built exactly as quotients (bitwise, no separate series).
 JACOBI_CODES = ("sn", "cn", "dn", "ns", "nc", "nd", "sc", "cs", "sd", "ds", "cd", "dc")
 
+#: Glyph letters in half-period order.  The glyph p/q has its poles at the
+#: zeros of q: those of sn, cn, dn sit at 0, K, K+iK', and a glyph over
+#: n = 1 has the poles of sn, cn, dn, at iK'.
+_LETTERS = "scdn"
+
+#: Names of the half-periods returned by ``singular_points``.
+SINGULAR_POINT_NAMES = ("0", "K", "K+iKp", "iKp")
+
 #: Default guard radius (in u-units) around poles of the requested glyph.
 DEFAULT_POLE_GUARD = 0.05
 
@@ -82,10 +90,18 @@ def _theta_all(z: complex, q: complex) -> tuple[complex, complex, complex, compl
 
     Terms are added until two consecutive ones fall below 1e-17 of the
     partial sum (|q| < 1 makes the decay super-geometric); hard cap 256.
+    A far-off z whose sin/cos terms overflow raises NonConvergence.
     """
     if abs(q) >= 1:
         raise NomeOutOfDisc(f"|q| = {abs(q)} >= 1")
     z = complex(z)
+    try:
+        return _theta_series(z, q)
+    except OverflowError as exc:
+        raise NonConvergence(f"theta series overflowed at z = {z}") from exc
+
+
+def _theta_series(z: complex, q: complex) -> tuple[complex, complex, complex, complex]:
     q4 = q**0.25
     t1 = 0j
     t2 = 0j
@@ -205,29 +221,30 @@ def _lattice_remainder(u: complex, p1: complex, p2: complex) -> float:
     return best
 
 
-# Pole set of each glyph: offsets (in {0, K, K+iK', iK'} units) modulo the
-# period lattice (2K, 2iK').  Zeros of the denominator function.
-_POLE_OFFSET = {
-    "sn": "iKp", "cn": "iKp", "dn": "iKp",
-    "ns": "0", "nc": "K", "nd": "K+iKp",
-    "sc": "K", "cs": "0", "sd": "K+iKp",
-    "ds": "0", "cd": "K+iKp", "dc": "K",
-}
-# Quotient glyphs also inherit the poles of their numerator's theta_4
-# denominator cancelling; in the quotient p/q only zeros of q survive as
-# poles, which is what the table above records.
+def singular_points(k: complex) -> tuple[complex, complex, complex, complex]:
+    """The four half-periods (0, K, K+iK', iK') for the modulus k.
+
+    They are the equation's regular singular points (named by
+    ``SINGULAR_POINT_NAMES``), the Klein shifts of the transformation rows,
+    and the pole offsets of the glyphs.
+    """
+    md = ModulusData.from_modulus(k)
+    return (0j, md.K, md.K + 1j * md.Kp, 1j * md.Kp)
 
 
 def pole_distance(code: str, u: complex, k: complex) -> float:
-    """Distance from u to the pole lattice of the requested glyph."""
+    """Distance from u to the pole lattice of the requested glyph: the
+    half-period named by its second letter, modulo (2K, 2iK')."""
     md = ModulusData.from_modulus(k)
-    off = {
-        "0": 0j,
-        "K": md.K,
-        "iKp": 1j * md.Kp,
-        "K+iKp": md.K + 1j * md.Kp,
-    }[_POLE_OFFSET[code]]
+    off = singular_points(k)[_LETTERS.index(code[1])]
     return _lattice_remainder(complex(u) - off, 2 * md.K, 2j * md.Kp)
+
+
+def _glyph(code: str, sn: complex, cn: complex, dn: complex) -> complex:
+    """The glyph p/q from (sn, cn, dn); letters s, c, d, n stand for sn, cn, dn, 1."""
+    vals = (sn, cn, dn, 1)
+    p, q = _LETTERS.index(code[0]), _LETTERS.index(code[1])
+    return vals[p] if q == 3 else vals[p] / vals[q]
 
 
 def jacobi_sn_cn_dn(u: complex, k: complex) -> tuple[complex, complex, complex]:
@@ -263,27 +280,4 @@ def jacobi(code: str, u: complex, k: complex, guard: float = DEFAULT_POLE_GUARD)
         raise ValueError(f"unknown Jacobi code {code!r}")
     if guard > 0 and pole_distance(code, u, k) < guard:
         raise PoleProximity(f"{code} pole within guard {guard} of u = {u}")
-    sn, cn, dn = jacobi_sn_cn_dn(u, k)
-    if code == "sn":
-        return sn
-    if code == "cn":
-        return cn
-    if code == "dn":
-        return dn
-    if code == "ns":
-        return 1 / sn
-    if code == "nc":
-        return 1 / cn
-    if code == "nd":
-        return 1 / dn
-    if code == "sc":
-        return sn / cn
-    if code == "cs":
-        return cn / sn
-    if code == "sd":
-        return sn / dn
-    if code == "ds":
-        return dn / sn
-    if code == "cd":
-        return cn / dn
-    return dn / cn  # dc
+    return _glyph(code, *jacobi_sn_cn_dn(u, k))

@@ -79,5 +79,5 @@ class UntrustedCalibration(DarbouxError):
 
 
 class InconclusiveAdjudication(DarbouxError):
-    """Both recursion variants pass the residual oracle (possible only when
-    the disputed term vanishes)."""
+    """The residual oracle cannot pick a recursion variant: both pass on a
+    test set where the disputed term does not vanish, or neither passes."""

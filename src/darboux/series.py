@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,21 +78,39 @@ def _check_log_case(xi: complex) -> None:
         raise LogarithmicCase(f"xi = {xi} is in {{-3/2, -5/2, ...}}")
 
 
+@lru_cache(maxsize=16)
+def _weights(exponents: tuple, k: complex, variant: str, length: int):
+    """The h-free recursion tables for m = 0..length-1: lists M, A, B, K and
+    the variant constant c, with L_m = h - A[m] - B[m] + c.
+
+    Every consumer reads these shared, read-only lists.  h stays out of the
+    key, so a scan over h builds its tables once; 16 tables (at most ~2 MB)
+    hold a scan's two depths with room to spare.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    xi, eta, mu, nu = exponents
+    _check_log_case(xi)
+    k2 = k * k
+    c = (k2 + 1) * (xi + 1) ** 2 if variant == "paper" else 0.0
+    a1 = eta + xi + 2
+    a2 = mu + xi + 2
+    b1 = xi + eta + mu + nu + 2
+    b2 = xi + eta + mu - nu + 1
+    m2s = range(0, 2 * length, 2)
+    M = [(m2 + 2) * (m2 + 2 * xi + 3) for m2 in m2s]
+    A = [(m2 + a1) ** 2 for m2 in m2s]
+    B = [k2 * (m2 + a2) ** 2 for m2 in m2s]
+    K = [k2 * (m2 + b1) * (m2 + b2) for m2 in m2s]
+    return M, A, B, K, c
+
+
 def recursion_coeffs(m: int, p: ParamTuple, variant: str = "corrected") -> RecursionCoeffs:
     """Weights (M_m, L_m, K_m) of the three-term recursion at index m."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    xi, eta, mu, nu = p.exponents
-    _check_log_case(xi)
-    k2 = p.k * p.k
-    M = (2 * m + 2) * (2 * m + 2 * xi + 3)
-    L = p.h - (2 * m + eta + xi + 2) ** 2 - k2 * (2 * m + mu + xi + 2) ** 2
-    if variant == "paper":
-        L = L + (k2 + 1) * (xi + 1) ** 2
-    K = k2 * (2 * m + xi + eta + mu + nu + 2) * (2 * m + xi + eta + mu - nu + 1)
-    return RecursionCoeffs(M=M, L=L, K=K)
+    M, A, B, K, c = _weights(p.exponents, p.k, variant, m + 1)
+    return RecursionCoeffs(M=M[m], L=p.h - A[m] - B[m] + c, K=K[m])
 
 
 def termination_check(p: ParamTuple) -> int | None:
@@ -186,11 +205,11 @@ def _coefficients_forward(p: ParamTuple, N: int, variant: str) -> SeriesCoeffici
     prev = 0j          # C_{m-1} at the current common scale
     cur = 1.0 + 0j
     e = 0
+    M, A, B, K, c = _weights(p.exponents, p.k, variant, N)
     for m in range(N):
-        rc = recursion_coeffs(m, p, variant)
-        if rc.M == 0:
+        if M[m] == 0:
             raise DegenerateRecursion(f"M_{m} = 0")
-        nxt = -(rc.L * cur + rc.K * prev) / rc.M
+        nxt = -((p.h - A[m] - B[m] + c) * cur + K[m] * prev) / M[m]
         prev, cur = cur, nxt
         if not (cmath.isfinite(cur.real) and cmath.isfinite(cur.imag)):
             raise CoefficientOverflow(f"coefficient C_{m + 1} overflowed")
@@ -228,11 +247,11 @@ def _coefficients_backward(p: ParamTuple, N: int, variant: str, buffer: int = 60
     top = N + buffer
     vals = np.zeros(top + 2, dtype=complex)
     vals[top] = 1.0
+    M, A, B, K, c = _weights(p.exponents, p.k, variant, top + 1)
     for m in range(top, 0, -1):
-        rc = recursion_coeffs(m, p, variant)
-        if rc.K == 0:
+        if K[m] == 0:
             raise ZeroDivisionError
-        vals[m - 1] = -(rc.M * vals[m + 1] + rc.L * vals[m]) / rc.K
+        vals[m - 1] = -(M[m] * vals[m + 1] + (p.h - A[m] - B[m] + c) * vals[m]) / K[m]
         if abs(vals[m - 1]) > _RESCALE_LIMIT:
             vals *= 2.0**-_RESCALE_SHIFT
     if vals[0] == 0:
@@ -254,18 +273,17 @@ def polynomial_eigenvalues(p: ParamTuple, q: int, variant: str = "corrected") ->
         raise DegenerateRecursion(
             f"termination relation does not hold with q = {q} (got {qt})"
         )
-    p0 = ParamTuple(*p.exponents, h=0.0, k=p.k)
     n = q + 1
+    M, A, B, K, c = _weights(p.exponents, p.k, variant, n)
     J = np.zeros((n, n), dtype=complex)
     for m in range(n):
-        rc = recursion_coeffs(m, p0, variant)
-        if rc.M == 0:
+        if M[m] == 0:
             raise DegenerateRecursion(f"M_{m} = 0 inside the matrix range")
-        J[m, m] = -rc.L          # L_m = h - d_m, so d_m = -L_m at h = 0
+        J[m, m] = A[m] + B[m] - c          # L_m = h - J[m, m]
         if m + 1 < n:
-            J[m, m + 1] = -rc.M
+            J[m, m + 1] = -M[m]
         if m - 1 >= 0:
-            J[m, m - 1] = -rc.K
+            J[m, m - 1] = -K[m]
     eig = np.linalg.eigvals(J)
     return eig[np.argsort(eig.real + 1e-9 * eig.imag)]
 
@@ -280,28 +298,15 @@ class CFValue:
 
 
 def _cf_raw(h: complex, p: ParamTuple, depth: int, variant: str) -> complex:
-    """One backward pass of the continued fraction, coefficient formulas inlined."""
-    xi, eta, mu, nu = p.exponents
-    _check_log_case(xi)
-    k2 = p.k * p.k
-    var_term = (k2 + 1) * (xi + 1) ** 2 if variant == "paper" else 0.0
-    a1 = eta + xi + 2
-    a2 = mu + xi + 2
-    b1 = xi + eta + mu + nu + 2
-    b2 = xi + eta + mu - nu + 1
+    """One backward pass of the continued fraction over the cached tables."""
+    M, A, B, K, c = _weights(p.exponents, p.k, variant, depth + 1)
     tail = 0j
     for j in range(depth, 0, -1):
-        m2 = 2 * j
-        M = (m2 + 2) * (m2 + 2 * xi + 3)
-        L = h - (m2 + a1) ** 2 - k2 * (m2 + a2) ** 2 + var_term
-        Kc = k2 * (m2 + b1) * (m2 + b2)
-        denom = L / M - tail
+        denom = (h - A[j] - B[j] + c) / M[j] - tail
         if denom == 0:
             raise ZeroPivot(f"vanishing partial denominator at level {j}")
-        tail = (Kc / M) / denom
-    M0 = 2 * (2 * xi + 3)
-    L0 = h - a1**2 - k2 * a2**2 + var_term
-    return L0 / M0 - tail
+        tail = (K[j] / M[j]) / denom
+    return (h - A[0] - B[0] + c) / M[0] - tail
 
 
 def infinite_cf(h: complex, p: ParamTuple, depth: int = 400, variant: str = "corrected") -> CFValue:
@@ -313,15 +318,9 @@ def infinite_cf(h: complex, p: ParamTuple, depth: int = 400, variant: str = "cor
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
     g = _cf_raw(h, p, depth, variant)
     g_half = _cf_raw(h, p, max(1, depth // 2), variant)
     return CFValue(value=g, depth=depth, change_from_half_depth=abs(g - g_half))
-
-
-def _cf_val(h: complex, p: ParamTuple, depth: int, variant: str) -> complex:
-    return _cf_raw(h, p, depth, variant)
 
 
 def darboux_function_eigenvalues(
@@ -361,7 +360,7 @@ def _real_scan_roots(p, lo, hi, depth, variant, n_grid, tol) -> list[complex]:
     gs = []
     for h in hs:
         try:
-            gs.append(_cf_val(h, p, depth, variant).real)
+            gs.append(_cf_raw(h, p, depth, variant).real)
         except ZeroPivot:
             gs.append(float("nan"))
     roots = []
@@ -372,7 +371,7 @@ def _real_scan_roots(p, lo, hi, depth, variant, n_grid, tol) -> list[complex]:
         x0, x1, f0 = hs[i], hs[i + 1], a
         for _ in range(200):
             xm = 0.5 * (x0 + x1)
-            fm = _cf_val(xm, p, depth, variant).real
+            fm = _cf_raw(xm, p, depth, variant).real
             if f0 * fm <= 0:
                 x1 = xm
             else:
@@ -381,7 +380,7 @@ def _real_scan_roots(p, lo, hi, depth, variant, n_grid, tol) -> list[complex]:
                 break
         root = 0.5 * (x0 + x1)
         # a sign change through a pole refines to a point where |g| explodes
-        if abs(_cf_val(root, p, depth, variant)) < 1e-4:
+        if abs(_cf_raw(root, p, depth, variant)) < 1e-4:
             roots.append(complex(root))
     return roots
 
@@ -389,9 +388,9 @@ def _real_scan_roots(p, lo, hi, depth, variant, n_grid, tol) -> list[complex]:
 def _polish_root(p, r, depth, variant, tol) -> complex:
     # complex secant iteration
     x0, x1 = r + 10 * tol, r
-    f0 = _cf_val(x0, p, depth, variant)
+    f0 = _cf_raw(x0, p, depth, variant)
     for _ in range(60):
-        f1 = _cf_val(x1, p, depth, variant)
+        f1 = _cf_raw(x1, p, depth, variant)
         if f1 == f0:
             break
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
@@ -408,7 +407,7 @@ def _winding_number(p, box, depth, variant, n_side=48) -> int:
     for a, b in zip(corners, corners[1:] + corners[:1]):
         for t in np.linspace(0.0, 1.0, n_side, endpoint=False):
             pts.append(a + t * (b - a))
-    vals = [_cf_val(z, p, depth, variant) for z in pts]
+    vals = [_cf_raw(z, p, depth, variant) for z in pts]
     if min(abs(v) for v in vals) < 1e-9:
         raise ZeroPivot("root or pole too close to the box boundary")
     total = 0.0
@@ -431,7 +430,7 @@ def _complex_box_roots(p, box, depth, variant, tol, _depth_limit=24) -> list[com
     if max(rh - rl, ih - il) < 1e-3 or _depth_limit == 0:
         centre = complex((rl + rh) / 2, (il + ih) / 2)
         root = _polish_root(p, centre, depth, variant, tol)
-        return [root] if abs(_cf_val(root, p, depth, variant)) < 1e-6 else []
+        return [root] if abs(_cf_raw(root, p, depth, variant)) < 1e-6 else []
     rm, im_ = (rl + rh) / 2, (il + ih) / 2
     out = []
     for sub in (
@@ -465,7 +464,7 @@ def convergence_domain(p: ParamTuple, h: complex, depth: int = 400, variant: str
         eigs = polynomial_eigenvalues(pz, q, variant)
         if any(abs(h - e) < 1e-8 * max(1.0, abs(e)) for e in eigs):
             return math.inf
-    g = _cf_val(h, pz, depth, variant)
+    g = _cf_raw(h, pz, depth, variant)
     if abs(g) < 1e-8:
         return max(1.0, 1.0 / ak)
     return min(1.0, 1.0 / ak)
@@ -542,7 +541,7 @@ def dl_eval(
     if abs(sn) >= radius and coeffs.terminated_at is None:
         # the larger domain applies only on the vanishing-CF locus
         big = max(1.0, 1.0 / abs(p.k))
-        g = _cf_val(p.h, p, depth=max(2 * len(coeffs), 200), variant=variant)
+        g = _cf_raw(p.h, p, depth=max(2 * len(coeffs), 200), variant=variant)
         if abs(g) >= 1e-8 or abs(sn) >= big:
             raise OutsideConvergence(
                 f"|sn u| = {abs(sn):.6f} outside certified radius"

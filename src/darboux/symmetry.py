@@ -22,14 +22,18 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
-from .elliptic import ModulusData, jacobi_sn_cn_dn, _check_modulus
+from .elliptic import (
+    ModulusData,
+    _check_modulus,
+    _glyph,
+    jacobi_sn_cn_dn,
+    singular_points,
+)
 
 #: scalar token: value = i^a * k^b * k'^c, stored as (a, b, c)
 Scalar = tuple[int, int, int]
 
 ANH_TAGS = ("I", "A", "B", "C", "D", "E")
-SHIFT_NAMES = ("0", "K", "K+iKp", "iKp")
-PARAM_NAMES = ("xi", "eta", "mu", "nu")
 
 #: the six cross-ratio actions on the lambda invariant
 CROSS_RATIOS = {
@@ -113,15 +117,8 @@ class GlyphEntry:
     glyph: str
 
     def value(self, u: complex, k: complex) -> complex:
-        sn, cn, dn = jacobi_sn_cn_dn(u, k)
-        vals = {
-            "sn": sn, "cn": cn, "dn": dn,
-            "ns": 1 / sn, "nc": 1 / cn, "nd": 1 / dn,
-            "sc": sn / cn, "cs": cn / sn, "sd": sn / dn,
-            "ds": dn / sn, "cd": cn / dn, "dc": dn / cn,
-        }
         kp = cmath.sqrt(1 - k * k)
-        return scalar_value(self.scalar, k, kp) * vals[self.glyph]
+        return scalar_value(self.scalar, k, kp) * _glyph(self.glyph, *jacobi_sn_cn_dn(u, k))
 
     def __str__(self) -> str:
         s = scalar_repr(self.scalar)
@@ -191,8 +188,7 @@ class TransformRow:
         md = ModulusData.from_modulus(k)
         anh = anh_element(self.anh)
         a = scalar_value(anh.scale, md.k, md.kp)
-        b = (0j, md.K, md.K + 1j * md.Kp, 1j * md.Kp)[self.shift]
-        return a, b
+        return a, singular_points(k)[self.shift]
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +361,6 @@ def semidirect_compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     return GroupElement(signs=signs, gii=gii_compose(g1.gii, g2.gii))
 
 
-def group_identity() -> GroupElement:
-    return GroupElement(signs=IDENTITY_SIGNS, gii=gii_identity())
-
-
 def enumerate_group() -> list[GroupElement]:
     """All 384 elements of the full symmetry group."""
     return [
@@ -395,9 +387,3 @@ def jacobi_transform_row(row: TransformRow):
         return identity
 
     return [make(0), make(1), make(2)]
-
-
-def singular_points(k: complex) -> tuple[complex, complex, complex, complex]:
-    """The four regular singular points (0, K, K+iK', iK') for the modulus k."""
-    md = ModulusData.from_modulus(k)
-    return (0j, md.K, md.K + 1j * md.Kp, 1j * md.Kp)

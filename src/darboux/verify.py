@@ -19,10 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import (
+    JACOBI_CODES,
     ModulusData,
+    _glyph,
+    _lattice_remainder,
     complete_elliptic,
     jacobi_sn_cn_dn,
     lambda_of_tau,
+    singular_points,
 )
 from .errors import (
     DegenerateWronskian,
@@ -42,8 +46,8 @@ from .symmetry import (
     ANH_TAGS,
     CROSS_RATIOS,
     GlyphEntry,
+    accessory_map,
     scalar_value,
-    singular_points,
 )
 
 # ---------------------------------------------------------------------------
@@ -119,8 +123,6 @@ PRINTED_SIGMAS = {
     "E0": (0, 3, 1, 2), "E1": (1, 2, 0, 3), "E2": (2, 1, 3, 0), "E3": (3, 0, 2, 1),
 }
 
-GLYPHS = ("sn", "cn", "dn", "ns", "nc", "nd", "sc", "cs", "sd", "ds", "cd", "dc")
-
 DEFAULT_K_VALUES = (0.3, 0.6, 0.9)
 
 
@@ -130,13 +132,13 @@ def _default_u_grid(seed: int = 7, n: int = 8) -> list[complex]:
             for a, b in zip(rng.random(n), rng.random(n))]
 
 
-def _glyph_value(code: str, u: complex, k: complex) -> complex:
-    sn, cn, dn = jacobi_sn_cn_dn(u, k)
-    return {
-        "sn": sn, "cn": cn, "dn": dn, "ns": 1 / sn, "nc": 1 / cn, "nd": 1 / dn,
-        "sc": sn / cn, "cs": cn / sn, "sd": sn / dn, "ds": dn / sn,
-        "cd": cn / dn, "dc": dn / cn,
-    }[code]
+def _printed_substitution(anh: str, shift: int, k: complex) -> tuple[complex, complex, complex]:
+    """The printed substitution w = a (u + b) of a row and its new modulus
+    kappa, as (a, b, kappa) at the modulus k."""
+    kp = cmath.sqrt(1 - k * k)
+    a = scalar_value(PRINTED_SCALE[anh], k, kp)
+    kappa = scalar_value(PRINTED_KAPPA[anh], k, kp)
+    return a, singular_points(k)[shift], kappa
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +210,6 @@ def ode_residual(
     pts = list(grid)
     for u in pts:
         for s in singular_points(p.k):
-            from .elliptic import _lattice_remainder
-
             if _lattice_remainder(complex(u) - s, 2 * md.K, 2j * md.Kp) < guard:
                 raise PoleProximity(f"grid point {u} within guard of singular point")
     worst = 0.0
@@ -292,14 +292,11 @@ def _row_entry_error(anh, shift, j, scalar, glyph, k_values, u_grid) -> float:
     for k in k_values:
         k = complex(k)
         kp = cmath.sqrt(1 - k * k)
-        K, Kp = complete_elliptic(k)
-        kappa = scalar_value(PRINTED_KAPPA[anh], k, kp)
-        a = scalar_value(PRINTED_SCALE[anh], k, kp)
-        b = (0j, K, K + 1j * Kp, 1j * Kp)[shift]
+        a, b, kappa = _printed_substitution(anh, shift, k)
         for u in u_grid:
             w = a * (u + b)
             lhs = jacobi_sn_cn_dn(w, kappa)[j]
-            rhs = scalar_value(scalar, k, kp) * _glyph_value(glyph, u, k)
+            rhs = scalar_value(scalar, k, kp) * _glyph(glyph, *jacobi_sn_cn_dn(u, k))
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst
 
@@ -307,7 +304,7 @@ def _row_entry_error(anh, shift, j, scalar, glyph, k_values, u_grid) -> float:
 def _repair_candidates(scalar, glyph):
     a0, b0, c0 = scalar
     for da in range(4):
-        for g in GLYPHS:
+        for g in JACOBI_CODES:
             for b in (-1, 0, 1):
                 for c in (-1, 0, 1):
                     yield ((a0 + da) % 4, b, c), g
@@ -396,23 +393,14 @@ def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
 def derive_sigma_from_substitution(name: str, k: complex = 0.6 + 0j) -> tuple[int, ...]:
     """Independent sigma derivation: classify the preimage of each new-frame
     singular point against the old singular points modulo the period lattice."""
-    from .elliptic import _lattice_remainder
-
-    anh = name[0]
-    shift = adjudicated_shift(name)
     k = complex(k)
-    kp = cmath.sqrt(1 - k * k)
-    K, Kp = complete_elliptic(k)
-    kappa = scalar_value(PRINTED_KAPPA[anh], k, kp)
-    Kn, Kpn = complete_elliptic(kappa)
-    a = scalar_value(PRINTED_SCALE[anh], k, kp)
-    b = (0j, K, K + 1j * Kp, 1j * Kp)[shift]
-    new_points = (0j, Kn, Kn + 1j * Kpn, 1j * Kpn)
-    old_points = (0j, K, K + 1j * Kp, 1j * Kp)
+    a, b, kappa = _printed_substitution(name[0], adjudicated_shift(name), k)
+    md = ModulusData.from_modulus(k)
+    old_points = singular_points(k)
     perm = []
-    for s in new_points:
+    for s in singular_points(kappa):
         u_star = s / a - b
-        dists = [_lattice_remainder(u_star - o, 2 * K, 2j * Kp) for o in old_points]
+        dists = [_lattice_remainder(u_star - o, 2 * md.K, 2j * md.Kp) for o in old_points]
         j = int(np.argmin(dists))
         if dists[j] > 1e-8:
             raise ValueError(f"{name}: preimage of {s} not a singular point")
@@ -550,8 +538,6 @@ def adjudicate_accessory_maps(k_values=DEFAULT_K_VALUES, tol=1e-9):
     This is the oracle that settles row D's printed h-map (which carries a
     spurious leading h factor) in favor of (-h + S)/k'^2.
     """
-    from .symmetry import accessory_map
-
     params = (0.23, -0.41, 0.57, 1.13)
     h = 0.77
     S = sum(g * (g + 1) for g in params)
@@ -562,11 +548,7 @@ def adjudicate_accessory_maps(k_values=DEFAULT_K_VALUES, tol=1e-9):
         worst = 0.0
         for k in k_values:
             k = complex(k)
-            kp = cmath.sqrt(1 - k * k)
-            K, Kp = complete_elliptic(k)
-            kappa = scalar_value(PRINTED_KAPPA[anh], k, kp)
-            a = scalar_value(PRINTED_SCALE[anh], k, kp)
-            b = (0j, K, K + 1j * Kp, 1j * Kp)[shift]
+            a, b, kappa = _printed_substitution(anh, shift, k)
             hX = accessory_map(anh, h, S, k)
             newp = tuple(params[sigma[j]] for j in range(4))
             for u in (0.31 + 0.12j, 0.77 - 0.2j, 1.1 + 0.33j):
@@ -700,7 +682,6 @@ def lvariant_adjudicator(
     tuples=None,
     k_values=DEFAULT_K_VALUES,
     accept: float = 1e-6,
-    reject: float = 1e-3,
 ):
     """Decide between the printed and corrected L_m via the residual oracle.
 
@@ -708,7 +689,8 @@ def lvariant_adjudicator(
     polynomial at the variant's own eigenvalue and measure the ODE residual
     of the resulting function against the original equation.  The variant
     whose residuals pass `accept` uniformly wins; InconclusiveAdjudication
-    if both pass (only possible when the disputed (xi+1)^2 term vanishes).
+    if neither passes, or if both pass on a tuple where the disputed
+    (xi+1)^2 term does not vanish.
 
     Returns (verdict, evidence list).
     """
@@ -744,6 +726,8 @@ def lvariant_adjudicator(
                     passing[variant] = False
     if passing["corrected"] and passing["paper"] and informative:
         raise InconclusiveAdjudication("both variants pass on an informative test set")
+    if not (passing["corrected"] or passing["paper"]):
+        raise InconclusiveAdjudication(f"neither variant passes accept = {accept:g}")
     verdict = "corrected" if passing["corrected"] else "paper"
     return verdict, evidence
 

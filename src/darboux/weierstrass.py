@@ -20,27 +20,17 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .elliptic import ModulusData, _theta_all, jacobi_sn_cn_dn, lambda_of_tau
+from .elliptic import (
+    ModulusData,
+    _lattice_remainder,
+    _theta_all,
+    jacobi_sn_cn_dn,
+    lambda_of_tau,
+)
 from .errors import DegenerateModulus, ParabolicImage, PoleProximity
 from .symmetry import AnhElement, anh_element
 
 _REAL_TAU_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HalfPeriods:
-    """Ordered half-period basis with omega2 derived as omega1 + omega3."""
-
-    omega1: complex
-    omega3: complex
-
-    @property
-    def omega2(self) -> complex:
-        return self.omega1 + self.omega3
-
-    @property
-    def tau(self) -> complex:
-        return self.omega3 / self.omega1
 
 
 @dataclass(frozen=True)
@@ -110,8 +100,6 @@ def wp(z: complex, ev: EValues, k: complex, guard: float = 1e-8) -> complex:
     root = cmath.sqrt(ev.e1 - ev.e3)
     u = root * complex(z)
     md = ModulusData.from_modulus(k)
-    from .elliptic import _lattice_remainder
-
     if _lattice_remainder(u, 2 * md.K, 2j * md.Kp) < guard:
         raise PoleProximity(f"z = {z} is on (or too near) the period lattice")
     sn = jacobi_sn_cn_dn(u, k)[0]

@@ -55,6 +55,14 @@ class TestEval:
         recs = records(out)
         assert len(recs) == 1 and "error" in recs[0]
 
+    def test_far_off_point_exit_2_one_error_line(self, capsys):
+        code = main(["eval", "--k", "0.6", "--nu", "1", "--h", "0.83", "--points", "0.3+90j"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestEigen:
     def test_polynomial_nu3(self, capsys):

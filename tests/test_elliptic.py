@@ -8,6 +8,8 @@ import pytest
 from scipy.special import ellipj
 
 from darboux.elliptic import (
+    JACOBI_CODES,
+    SINGULAR_POINT_NAMES,
     ModulusData,
     complete_elliptic,
     jacobi,
@@ -15,14 +17,17 @@ from darboux.elliptic import (
     lambda_of_tau,
     nome_and_tau,
     pole_distance,
+    singular_points,
     theta,
 )
 from darboux.errors import (
     DegenerateModulus,
     LowerHalfPlane,
     NomeOutOfDisc,
+    NonConvergence,
     PoleProximity,
 )
+from darboux.symmetry import GlyphEntry
 from conftest import K_VALUES, guarded_complex_grid, quadrature_K
 
 
@@ -144,6 +149,22 @@ class TestJacobi:
         }
         for code, ref in quot.items():
             assert jacobi(code, u, k) == ref  # identical construction
+        for code in JACOBI_CODES:
+            assert GlyphEntry((0, 0, 0), code).value(u, k) == jacobi(code, u, k, guard=0)
+
+    @pytest.mark.parametrize("code,pole", {
+        "sn": "iKp", "cn": "iKp", "dn": "iKp",
+        "ns": "0", "nc": "K", "nd": "K+iKp",
+        "sc": "K", "cs": "0", "sd": "K+iKp",
+        "ds": "0", "cd": "K+iKp", "dc": "K",
+    }.items())
+    def test_pole_offsets(self, code, pole):
+        k = 0.6
+        for name, point in zip(SINGULAR_POINT_NAMES, singular_points(k)):
+            dist = pole_distance(code, point + 0.01, k)
+            assert (dist < 0.02) == (name == pole)
+        with pytest.raises(PoleProximity):
+            jacobi(code, singular_points(k)[SINGULAR_POINT_NAMES.index(pole)] + 0.01, k)
 
     def test_complex_modulus_self_consistency(self):
         # the moduli the symmetry tables need
@@ -169,6 +190,11 @@ class TestJacobi:
             1 / jacobi("sn", 0.2, k), abs=0
         )
         assert pole_distance("sn", 1j * Kp, k) < 1e-12
+
+    def test_far_off_argument_is_typed(self):
+        # cmath.sin overflows inside the theta series at Im u = 90
+        with pytest.raises(NonConvergence):
+            jacobi_sn_cn_dn(0.3 + 90j, 0.6)
 
     def test_unknown_code(self):
         with pytest.raises(ValueError):

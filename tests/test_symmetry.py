@@ -25,6 +25,7 @@ from darboux.symmetry import (
     gii_compose,
     gii_elements,
     gii_identity,
+    GlyphEntry,
     gI_apply,
     jacobi_transform_row,
     semidirect_compose,
@@ -208,6 +209,10 @@ class TestFrozenTableIdentities:
                         assert abs(lhs - rhs) <= 1e-10 * max(1, abs(rhs)), (
                             row.name, u, k, lhs, rhs
                         )
+
+    def test_glyph_at_zero_of_sn(self):
+        # only the requested quotient is formed, so sn(0) = 0 divides nothing
+        assert GlyphEntry((0, 0, 0), "cn").value(0, 0.6) == 1
 
     def test_expected_repairs_recorded(self):
         d1 = gii_by_name("D1")

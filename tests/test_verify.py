@@ -10,12 +10,14 @@ import pytest
 from darboux.elliptic import complete_elliptic, jacobi_sn_cn_dn
 from darboux.errors import (
     DegenerateWronskian,
+    InconclusiveAdjudication,
     PoleProximity,
     UntrustedCalibration,
 )
 from darboux.series import ParamTuple, dl_coefficients, dl_eval
 from darboux.verify import (
     DEFAULT_FD_STEP,
+    _row_entry_error,
     adjudicate_lambda_pairings,
     identity_harness,
     lvariant_adjudicator,
@@ -122,6 +124,9 @@ class TestHarness:
         sn, cn, dn = jacobi_sn_cn_dn(u, K)
         assert abs(lhs - dn / cn / K) < 1e-12
 
+    def test_glyph_path_at_zero_of_sn(self):
+        assert _row_entry_error("I", 0, 1, (0, 0, 0), "cn", (0.6,), [0j]) == 0
+
     def test_lambda_pairing_unique(self):
         adopted, records = adjudicate_lambda_pairings()
         assert set(adopted) == set("IABCDE")
@@ -174,6 +179,10 @@ class TestVariantAdjudicator:
                 tuples=[(0, 0, 0, 3), (0, 0, -1, 2)], k_values=(k,)
             )
             assert verdict == "corrected"
+
+    def test_neither_variant_passing_is_inconclusive(self):
+        with pytest.raises(InconclusiveAdjudication):
+            lvariant_adjudicator(tuples=[(0, 0, 0, 3)], k_values=(0.6,), accept=1e-30)
 
     def test_evidence_file_versioned(self):
         text = (DOCS_DIR / "lvariant_evidence.jsonl").read_text()
