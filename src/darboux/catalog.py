@@ -13,7 +13,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elliptic import SINGULAR_POINT_NAMES, jacobi_sn_cn_dn
+from .errors import NonConvergence
 from .series import (
     convergence_domain,
     dl_coefficients,
@@ -109,7 +112,8 @@ def instantiate(
 ):
     """An evaluable u -> value composite solution, plus its descriptor.
 
-    The returned callable evaluates the transformed local series at
+    The returned callable takes a scalar u or a numpy array of u (elementwise,
+    one series evaluation per call).  It evaluates the transformed local series at
     w = tau_{X_i}(u, k); as a function of the original u it solves the
     original equation with the original parameters (the symmetry theorem;
     the residual oracle in the test suite checks exactly this).
@@ -118,8 +122,8 @@ def instantiate(
     a, b = sid.row.substitution_parts(p.k)
     coeffs = dl_coefficients(pt, N, variant=variant, mode=mode)
 
-    def solution(u: complex) -> complex:
-        w = a * (complex(u) + b)
+    def solution(u):
+        w = a * (u + b)
         return dl_eval(pt, w, variant=variant, coeffs=coeffs)
 
     desc = DlDescriptor(
@@ -145,6 +149,40 @@ def transformed_convergence(
     return convergence_domain(pt, pt.h, depth=depth, variant=variant)
 
 
+def _walk_grid() -> np.ndarray:
+    """Outward walk of ``sample_points``: t = 0.12, 0.14, ... accumulated
+    while below 3.0, then the first value past it (the walk's end)."""
+    ts = [0.12]
+    while ts[-1] < 3.0:
+        ts.append(ts[-1] + 0.02)
+    return np.array(ts)
+
+
+_WALK = _walk_grid()
+
+
+def _first_crossing(ts: np.ndarray, direction: complex, k: complex, bound: float) -> int | None:
+    """Index of the first t with |sn((t + 0.02) direction, k)| >= bound.
+
+    One batched sn call.  A batch whose far end overflows the theta series
+    (a large modulus, where the walk stops at its first probe) is split in
+    halves, so that only probes up to the crossing have to be evaluable.
+    """
+    try:
+        sn = jacobi_sn_cn_dn((ts + 0.02) * direction, k)[0]
+    except NonConvergence:
+        if len(ts) == 1:
+            raise
+        half = len(ts) // 2
+        first = _first_crossing(ts[:half], direction, k, bound)
+        if first is not None:
+            return first
+        rest = _first_crossing(ts[half:], direction, k, bound)
+        return None if rest is None else half + rest
+    crossed = np.flatnonzero(np.abs(sn) >= bound)
+    return int(crossed[0]) if crossed.size else None
+
+
 def sample_points(
     sid: SolutionId,
     p: ParamTuple,
@@ -155,28 +193,18 @@ def sample_points(
     series' convergence domain, along a fixed ray from the singular point
     (fixed rays keep the principal-branch prefactor on one sheet).
 
-    The ray is walked outward until |sn(w, kappa)| reaches 80% of the
-    certified bound; `count` points are spread over the admissible stretch,
+    The ray is walked outward over ``_WALK`` (one batched sn call) until
+    |sn(w, kappa)| reaches 80% of the certified bound; `count` points are
+    spread over the admissible stretch,
     staying clear of the singular point itself (finite-difference stencils
     around the returned points must keep the residual oracle's pole guard).
     """
-    import numpy as np
-
     pt = transformed_tuple(sid, p)
     a, b = sid.row.substitution_parts(p.k)
     bound = 0.8 * min(1.0, 1.0 / abs(pt.k))
     direction = cmath.exp(1j * angle)
-    t_max = 0.12
-    while t_max < 3.0:
-        sn = jacobi_sn_cn_dn((t_max + 0.02) * direction, pt.k)[0]
-        if abs(sn) >= bound:
-            break
-        t_max += 0.02
-    out = []
-    for t in np.linspace(0.35 * t_max, 0.95 * t_max, count):
-        w = t * direction
-        u = w / a - b
-        sn = jacobi_sn_cn_dn(w, pt.k)[0]
-        if abs(sn) < bound:
-            out.append(u)
-    return out
+    crossed = _first_crossing(_WALK[:-1], direction, pt.k, bound)
+    t_max = _WALK[-1 if crossed is None else crossed]
+    w = np.linspace(0.35 * t_max, 0.95 * t_max, count) * direction
+    sn = jacobi_sn_cn_dn(w, pt.k)[0]
+    return [complex(x) for x in (w / a - b)[np.abs(sn) < bound]]

@@ -23,6 +23,7 @@ from .elliptic import lambda_of_tau
 from .errors import DarbouxError, OutsideConvergence
 from .series import (
     darboux_function_eigenvalues,
+    dl_coefficients,
     dl_eval,
     polynomial_eigenvalues,
     termination_check,
@@ -131,23 +132,20 @@ def cmd_eval(args) -> int:
     out = _Emitter(cfg)
     p = _param_tuple(args, cfg)
     if args.points:
-        us = [complex(t) for t in args.points]
+        us = np.array([complex(t) for t in args.points])
     else:
         lo, hi, n = args.u_range
-        us = [complex(u) for u in np.linspace(float(lo), float(hi), int(n))]
-    results = []
-    for u in us:
-        try:
-            results.append(dl_eval(p, u, N=cfg.truncation, variant=cfg.variant, detail=True))
-        except OutsideConvergence as exc:
-            # domain violation: a single diagnostic record, no partial output
-            out.emit({"u": _cstr(u), "error": str(exc)})
-            return EXIT_DOMAIN
-    for u, res in zip(us, results):
-        out.emit({
-            "u": _cstr(u), "re": res.value.real, "im": res.value.imag,
-            "tail_bound": res.tail_bound,
-        })
+        us = np.linspace(float(lo), float(hi), int(n)).astype(complex)
+    coeffs = dl_coefficients(p, cfg.truncation, variant=cfg.variant)
+    try:
+        res = dl_eval(p, us, variant=cfg.variant, coeffs=coeffs, detail=True)
+    except OutsideConvergence as exc:
+        # domain violation: a single diagnostic record naming the first
+        # offending point, no partial output
+        out.emit({"u": _cstr(us[exc.index]), "error": str(exc)})
+        return EXIT_DOMAIN
+    for u, value, tail in zip(us, res.value, res.tail_bound):
+        out.emit({"u": _cstr(u), "re": value.real, "im": value.imag, "tail_bound": tail})
     return EXIT_OK
 
 

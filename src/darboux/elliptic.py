@@ -20,6 +20,8 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     DegenerateModulus,
     LowerHalfPlane,
@@ -145,6 +147,49 @@ def _theta_series(z: complex, q: complex) -> tuple[complex, complex, complex, co
     return t1, t2, t3, t4
 
 
+def _theta_array(z: np.ndarray, q: complex) -> tuple[np.ndarray, ...]:
+    """theta_1..theta_4 at a 1-D array z: each series is one (terms x points)
+    product of q-power weights with np.sin / np.cos of (2n+1) z and 2n z.
+
+    The term count is fixed for the batch from |q| and max |Im z|: in the
+    merged index j (odd j = 2n+1 for theta_1/theta_2, even j = 2n for
+    theta_3/theta_4) a term has size about |q|^(j^2/4) e^(j |Im z|), and
+    the series stop past their largest term, once that size falls below
+    1e-17 of it.  The weights are built exactly as in ``_theta_series``.
+    """
+    if abs(q) >= 1:
+        raise NomeOutOfDisc(f"|q| = {abs(q)} >= 1")
+    j = np.arange(1, 2 * _THETA_CAP + 1)
+    size = j * j * (np.log(abs(q)) / 4) + j * float(np.max(np.abs(z.imag), initial=0.0))
+    peak = int(np.argmax(size))
+    past = np.flatnonzero(size[peak:] < size[peak] + np.log(_THETA_TOL))
+    if past.size == 0:
+        raise NonConvergence(f"theta series need more than {_THETA_CAP} terms")
+    last = peak + int(past[0]) + 1           # the largest j summed
+    qq, qn, w12, w34 = 1.0 + 0j, 1.0 + 0j, [], []
+    for n in range((last + 1) // 2):         # q^{n(n+1)}, n = 0 .. (last-1)//2
+        if n > 0:
+            qq *= q ** (2 * n)
+        w12.append(qq)
+    for n in range(1, last // 2 + 1):        # q^{n^2}, n = 1 .. last//2
+        qn *= q ** (2 * n - 1)
+        w34.append(qn)
+    w12, w34 = np.array(w12), 2 * np.array(w34)
+    sgn12 = np.where(np.arange(len(w12)) % 2, -1.0, 1.0)
+    sgn34 = np.where(np.arange(1, len(w34) + 1) % 2, -1.0, 1.0)
+    odd = np.outer(np.arange(1, 2 * len(w12), 2), z)
+    q4 = 2 * q**0.25
+    with np.errstate(over="ignore", invalid="ignore"):
+        even = np.cos(np.outer(np.arange(2, 2 * len(w34) + 1, 2), z))
+        t1 = q4 * ((sgn12 * w12)[:, None] * np.sin(odd)).sum(axis=0)
+        t2 = q4 * (w12[:, None] * np.cos(odd)).sum(axis=0)
+        t3 = 1 + (w34[:, None] * even).sum(axis=0)
+        t4 = 1 + ((sgn34 * w34)[:, None] * even).sum(axis=0)
+    if not all(np.isfinite(t).all() for t in (t1, t2, t3, t4)):
+        raise NonConvergence(f"theta series overflowed at |Im z| up to {np.max(np.abs(z.imag)):.6g}")
+    return t1, t2, t3, t4
+
+
 def theta(index: int, z: complex, q: complex) -> complex:
     """Jacobi theta function theta_index(z, q), index in 1..4."""
     if index not in (1, 2, 3, 4):
@@ -157,7 +202,8 @@ class ModulusData:
     """One torus: modulus, complementary modulus, quarter periods, nome.
 
     Invariants (checked at construction): k^2 + k'^2 = 1, tau = i K'/K,
-    q = exp(i pi tau) with |q| < 1, and k^2 not in {0, 1}.
+    q = exp(i pi tau) with |q| < 1, and k^2 not in {0, 1}.  The theta
+    zero-values are summed once here, not at every sn/cn/dn evaluation.
     """
 
     k: complex
@@ -166,13 +212,11 @@ class ModulusData:
     Kp: complex
     q: complex
     tau: complex
+    theta_zero: tuple[complex, complex, complex, complex]   # theta_1..4 at z = 0
 
     @classmethod
     def from_modulus(cls, k: complex) -> "ModulusData":
         return _modulus_data_cached(complex(k))
-
-    def theta_zero(self) -> tuple[complex, complex, complex, complex]:
-        return _theta_all(0.0, self.q)
 
 
 @lru_cache(maxsize=512)
@@ -183,7 +227,7 @@ def _modulus_data_cached(k: complex) -> ModulusData:
     q = cmath.exp(1j * cmath.pi * tau)
     if abs(q) >= 1:
         raise NomeOutOfDisc(f"nome |q| = {abs(q)} >= 1 for k = {k}")
-    return ModulusData(k=k, kp=kp, K=K, Kp=Kp, q=q, tau=tau)
+    return ModulusData(k=k, kp=kp, K=K, Kp=Kp, q=q, tau=tau, theta_zero=_theta_all(0.0, q))
 
 
 def nome_and_tau(k: complex) -> tuple[complex, complex]:
@@ -244,15 +288,27 @@ def _glyph(code: str, sn: complex, cn: complex, dn: complex) -> complex:
     """The glyph p/q from (sn, cn, dn); letters s, c, d, n stand for sn, cn, dn, 1."""
     vals = (sn, cn, dn, 1)
     p, q = _LETTERS.index(code[0]), _LETTERS.index(code[1])
-    return vals[p] if q == 3 else vals[p] / vals[q]
+    if q == 3:
+        return vals[p]
+    if vals[q] == 0:
+        raise PoleProximity(f"{code} is evaluated at a pole: its denominator vanishes")
+    return vals[p] / vals[q]
 
 
-def jacobi_sn_cn_dn(u: complex, k: complex) -> tuple[complex, complex, complex]:
-    """(sn, cn, dn)(u, k) via theta quotients; no pole guard applied."""
+def jacobi_sn_cn_dn(u, k: complex):
+    """(sn, cn, dn)(u, k) via theta quotients; no pole guard applied.
+
+    A scalar u gives three complex numbers.  A numpy array of u gives three
+    complex arrays of its shape, from one batched theta sum.
+    """
     md = ModulusData.from_modulus(complex(k))
-    v = cmath.pi * complex(u) / (2 * md.K)
-    t1, t2, t3, t4 = _theta_all(v, md.q)
-    z1, z2, z3, z4 = md.theta_zero()
+    if isinstance(u, np.ndarray) and u.ndim:
+        v = cmath.pi * u.astype(complex).ravel() / (2 * md.K)
+        t1, t2, t3, t4 = (t.reshape(u.shape) for t in _theta_array(v, md.q))
+    else:
+        v = cmath.pi * complex(u) / (2 * md.K)
+        t1, t2, t3, t4 = _theta_all(v, md.q)
+    z1, z2, z3, z4 = md.theta_zero
     sn = (z3 / z2) * (t1 / t4)
     cn = (z4 / z2) * (t2 / t4)
     dn = (z4 / z3) * (t3 / t4)

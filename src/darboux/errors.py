@@ -44,7 +44,14 @@ class CoefficientOverflow(DarbouxError):
 
 
 class OutsideConvergence(DarbouxError):
-    """Series evaluation requested outside the certified convergence domain."""
+    """Series evaluation requested outside the certified convergence domain.
+
+    ``index`` is the position of the first offending point when an array of
+    points was evaluated, None for a single point."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class DegenerateRecursion(DarbouxError):

@@ -47,6 +47,7 @@ from .errors import (
     InsufficientData,
     LogarithmicCase,
     ModulusOnUnitCircle,
+    NonConvergence,
     OutsideConvergence,
     PoleProximity,
     ZeroPivot,
@@ -186,7 +187,7 @@ def dl_coefficients(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         q = termination_check(p)
-        if q is None and abs(infinite_cf(p.h, p, depth=max(2 * N, 200), variant=variant).value) < 1e-8:
+        if q is None and abs(_cf_raw(p.h, p, max(2 * N, 200), variant)) < 1e-8:
             mode = "minimal"
         else:
             mode = "forward"
@@ -510,81 +511,125 @@ def ratio_diagnostic(coeffs: SeriesCoefficients, k: complex) -> RatioDiagnostic:
 
 @dataclass(frozen=True)
 class DlValue:
-    value: complex
-    tail_bound: float
+    """A series value with its tail bound: complex and float for a scalar u,
+    arrays of u's shape for an array u."""
+
+    value: complex | np.ndarray
+    tail_bound: float | np.ndarray
+
+
+#: Terms per cumprod block in ``_power_sum``: with |r| >= 1/2, r^m stays a
+#: normal float for m < 1022.
+_POWER_BLOCK = 1000
+
+
+def _ldexp(z: np.ndarray, e) -> np.ndarray:
+    """z 2^e for a complex array z, in place."""
+    np.ldexp(z.real, e, out=z.real)
+    np.ldexp(z.imag, e, out=z.imag)
+    return z
+
+
+def _power_sum(coeffs: SeriesCoefficients, s2: np.ndarray, upto: int):
+    """sum_{m <= upto} C_m s2^m and |C_upto s2^upto|, elementwise over a 1-D s2.
+
+    s2 = r 2^e with 1/2 <= |r| < 1 (np.frexp of |s2|).  The powers r^m are
+    cumulative products over a (points x terms) matrix, and each term
+    (C_m's mantissa times r^m) is scaled once by 2^(exps[m] + m e): a term
+    has the bits of the term-by-term product C_m s2^m, also where C_m or
+    s2^m alone is outside the float range.  Every _POWER_BLOCK terms the
+    running power is renormalised.
+    """
+    _, e = np.frexp(np.abs(s2))
+    r = _ldexp(s2.copy(), -e)
+    total = np.zeros(s2.shape, complex)
+    head, head_e = np.ones(s2.shape, complex), np.zeros(s2.shape, np.int64)  # s2^lo = head 2^head_e
+    for lo in range(0, upto + 1, _POWER_BLOCK):
+        m = np.arange(lo, min(lo + _POWER_BLOCK, upto + 1))
+        pw = np.empty((s2.size, m.size), complex)
+        pw[:, 0] = head
+        pw[:, 1:] = r[:, None]
+        np.cumprod(pw, axis=1, out=pw)
+        head = pw[:, -1] * r
+        pw *= coeffs.values[m]
+        shift = coeffs.exps[m] + head_e[:, None] + (m - lo) * e[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _ldexp(pw, shift)
+        total += terms.sum(axis=1)
+        _, f = np.frexp(np.abs(head))
+        head, head_e = _ldexp(head, -f), head_e + m.size * e + f
+    return total, np.abs(terms[:, -1])
 
 
 def dl_eval(
     p: ParamTuple,
-    u: complex,
+    u,
     N: int = 200,
     variant: str = "corrected",
     mode: str = "auto",
     coeffs: SeriesCoefficients | None = None,
     detail: bool = False,
 ):
-    """Evaluate the local solution at u.
+    """Evaluate the local solution at u: a complex for a scalar u, a complex
+    array of u's shape for a numpy array.
 
     The prefactor uses principal-branch complex powers (the solution is
     defined on a cut neighbourhood of the singular point; callers keep
-    evaluation paths on fixed rays).  Raises OutsideConvergence when
-    |sn u| is not strictly inside the certified radius, PoleProximity when
-    a prefactor base vanishes under a negative exponent.  With
-    ``detail=True`` returns a DlValue carrying a geometric tail bound
-    estimated from the dominant Poincare ratio.
+    evaluation paths on fixed rays).  Raises OutsideConvergence when some
+    |sn u| is not strictly inside the certified radius (its ``index`` names
+    the first such point of an array), PoleProximity when a prefactor base
+    vanishes under a negative exponent, NonConvergence when the sum is not
+    finite.  With ``detail=True`` returns a DlValue carrying a geometric
+    tail bound estimated from the dominant Poincare ratio.
     """
     if coeffs is None:
         coeffs = dl_coefficients(p, N, variant=variant, mode=mode)
-    sn, cn, dn = jacobi_sn_cn_dn(u, p.k)
+    scalar = not (isinstance(u, np.ndarray) and u.ndim)
+    sn, cn, dn = (np.asarray(x, complex).ravel() for x in jacobi_sn_cn_dn(u, p.k))
     s2 = sn * sn
-    radius = min(1.0, 1.0 / abs(p.k))
-    if abs(sn) >= radius and coeffs.terminated_at is None:
+    asn = np.abs(sn)
+    outside = asn >= min(1.0, 1.0 / abs(p.k))
+    if coeffs.terminated_at is None and outside.any():
         # the larger domain applies only on the vanishing-CF locus
-        big = max(1.0, 1.0 / abs(p.k))
         g = _cf_raw(p.h, p, depth=max(2 * len(coeffs), 200), variant=variant)
-        if abs(g) >= 1e-8 or abs(sn) >= big:
+        if abs(g) < 1e-8:
+            outside = asn >= max(1.0, 1.0 / abs(p.k))
+        if outside.any():
+            i = int(np.argmax(outside))
             raise OutsideConvergence(
-                f"|sn u| = {abs(sn):.6f} outside certified radius"
+                f"|sn u| = {asn[i]:.6f} outside certified radius", index=None if scalar else i
             )
     xi, eta, mu, nu = p.exponents
-    pref = 1.0 + 0j
+    pref = np.ones(sn.shape, complex)
     for base, expo in ((sn, xi + 1), (cn, eta + 1), (dn, mu + 1)):
-        if base == 0:
-            if expo == 0:
-                continue
-            if expo.real > 0:
-                pref = 0j
-                continue
+        if expo == 0:
+            continue
+        zero = base == 0
+        if zero.any() and expo.real <= 0:
             raise PoleProximity("prefactor base vanished under a non-positive exponent")
-        pref *= cmath.exp(expo * cmath.log(base))
-    total = 0j
-    pw = 1.0 + 0j
-    pe = 0
-    last = 0.0
+        pref *= np.where(zero, 0, np.exp(expo * np.log(np.where(zero, 1, base))))
     upto = coeffs.terminated_at if coeffs.terminated_at is not None else len(coeffs) - 1
-    for m in range(upto + 1):
-        t = coeffs.values[m] * pw
-        e = int(coeffs.exps[m]) + pe
-        term = complex(math.ldexp(t.real, e), math.ldexp(t.imag, e))
-        total += term
-        last = abs(term)
-        pw *= s2
-        if abs(pw) != 0 and abs(pw) < 2.0**-_RESCALE_SHIFT:
-            pw = complex(math.ldexp(pw.real, _RESCALE_SHIFT), math.ldexp(pw.imag, _RESCALE_SHIFT))
-            pe -= _RESCALE_SHIFT
+    total, last = _power_sum(coeffs, s2, upto)
     value = pref * total
+    if not np.isfinite(value).all():
+        raise NonConvergence("series sum is not finite")
     if coeffs.terminated_at is not None:
-        tail = 0.0
+        tail = np.zeros(sn.shape)
     else:
-        rho = abs(s2) * max(1.0, abs(p.k) ** 2)
-        tail = last * rho / (1 - rho) * abs(pref) if rho < 1 else math.inf
-    if detail:
-        return DlValue(value=value, tail_bound=tail)
-    return value
+        rho = np.abs(s2) * max(1.0, abs(p.k) ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = np.where(rho < 1, last * rho / (1 - rho) * np.abs(pref), math.inf)
+    if scalar:
+        value, tail = complex(value[0]), float(tail[0])
+    else:
+        value, tail = value.reshape(u.shape), tail.reshape(u.shape)
+    return DlValue(value=value, tail_bound=tail) if detail else value
 
 
-def darboux_potential(u: complex, p: ParamTuple) -> complex:
-    """The equation's potential V(u): the solution satisfies y'' + (h - V) y = 0."""
+def darboux_potential(u, p: ParamTuple):
+    """The equation's potential V(u): the solution satisfies y'' + (h - V) y = 0.
+
+    Elementwise for a numpy array of u."""
     xi, eta, mu, nu = p.exponents
     k2 = p.k * p.k
     sn, cn, dn = jacobi_sn_cn_dn(u, p.k)

@@ -191,6 +191,15 @@ class TestJacobi:
         )
         assert pole_distance("sn", 1j * Kp, k) < 1e-12
 
+    def test_exact_pole_without_guard_is_typed(self):
+        # sn(0) = 0 exactly, so ns = 1/sn divides by zero
+        with pytest.raises(PoleProximity):
+            jacobi("ns", 0, 0.6, guard=0)
+
+    def test_glyph_entry_at_exact_pole_is_typed(self):
+        with pytest.raises(PoleProximity):
+            GlyphEntry(scalar=(0, 0, 0), glyph="ds").value(0j, 0.6)
+
     def test_far_off_argument_is_typed(self):
         # cmath.sin overflows inside the theta series at Im u = 90
         with pytest.raises(NonConvergence):

@@ -39,7 +39,7 @@ class TestResidual:
         # coefficients and h = 1.
         p = ParamTuple(0, 0, 0, 0, h=1.0, k=K)
         grid = np.linspace(0.3, 1.2, 9)
-        rep = ode_residual(cmath.sin, p, grid)
+        rep = ode_residual(np.sin, p, grid)
         assert rep.max_relative_residual <= 1e-10
         assert rep.calibration_residual <= 1e-10
         assert rep.trusted
@@ -65,7 +65,7 @@ class TestResidual:
     def test_untrusted_calibration_raises(self):
         p = ParamTuple(0, 0, 0, 0, h=1.0, k=K)
         with pytest.raises(UntrustedCalibration):
-            ode_residual(cmath.sin, p, np.linspace(0.3, 1.2, 5), step=1e-7)
+            ode_residual(np.sin, p, np.linspace(0.3, 1.2, 5), step=1e-7)
 
     def test_second_derivative_accuracy(self):
         d2 = second_derivative(cmath.sin, 0.7, DEFAULT_FD_STEP)
@@ -105,6 +105,11 @@ class TestHarness:
         report = identity_harness()
         assert report.passed()
         assert len(report.records) == 145
+
+    def test_grid_on_a_pole_is_typed(self):
+        # u = 0 is a pole of the ns, ds and cs entries
+        with pytest.raises(PoleProximity):
+            identity_harness(u_grid=[0j])
 
     def test_documented_repairs(self):
         report = identity_harness()
