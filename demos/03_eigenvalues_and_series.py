@@ -1,9 +1,10 @@
-"""Local series solutions, terminating polynomials, and spectral scans.
+"""Local series solutions, terminating polynomials, and the function spectrum.
 
 The accessory parameter h is free in the equation; special values make the
 local series terminate (polynomials, from a tridiagonal eigenproblem) or
-extend its convergence domain (roots of an infinite continued fraction),
-and the coefficient ratios feel the difference (Poincare/Perron).
+extend its convergence domain (roots of an infinite continued fraction,
+found from the eigenvalues of the recursion's truncation matrix), and the
+coefficient ratios feel the difference (Poincare/Perron).
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ print(f"  sncndn= {sn * cn * dn:.15f}")
 print("\nnon-terminating spectrum: roots of the infinite continued fraction")
 p = ParamTuple(0, 0, 0, 1, h=0.0, k=k)
 roots = darboux_function_eigenvalues(p, (0.0, 12.0), depth=400)
-print(f"  scan of (0, 12) at depth 400: {[f'{r.real:.10f}' for r in roots]}")
+print(f"  roots in (0, 12) at depth 400: {[f'{r.real:.10f}' for r in roots]}")
 hhat = roots[0]
 print(f"  |g(hhat)| at depth 800 = {abs(infinite_cf(hhat, p, 800).value):.2e}")
 print(f"  convergence radius at generic h : {convergence_domain(p, 0.77)}")

@@ -64,8 +64,9 @@ class ZeroPivot(DarbouxError):
 
 
 class DepthUnstable(DarbouxError):
-    """A scanner root moved more than tolerance when the continued-fraction
-    depth was doubled."""
+    """A function eigenvalue (a zero of the continued fraction, found from
+    the truncation matrix's eigenvalues) moved more than tolerance when the
+    continued-fraction depth was doubled."""
 
 
 class ModulusOnUnitCircle(DarbouxError):
@@ -73,7 +74,8 @@ class ModulusOnUnitCircle(DarbouxError):
 
 
 class InsufficientData(DarbouxError):
-    """Not enough coefficients for an asymptotic ratio estimate."""
+    """Not enough coefficients for an asymptotic ratio estimate, or no grid
+    point for a residual."""
 
 
 class DegenerateWronskian(DarbouxError):

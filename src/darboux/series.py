@@ -85,8 +85,8 @@ def _weights(exponents: tuple, k: complex, variant: str, length: int):
     the variant constant c, with L_m = h - A[m] - B[m] + c.
 
     Every consumer reads these shared, read-only lists.  h stays out of the
-    key, so a scan over h builds its tables once; 16 tables (at most ~2 MB)
-    hold a scan's two depths with room to spare.
+    key, so a root search over h builds its tables once per length; 16
+    tables (at most ~2 MB) hold its matrix orders and two depths.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -262,30 +262,29 @@ def _coefficients_backward(p: ParamTuple, N: int, variant: str, buffer: int = 60
     return SeriesCoefficients(values=values, exps=exps, variant=variant, mode="minimal", terminated_at=None)
 
 
-def polynomial_eigenvalues(p: ParamTuple, q: int, variant: str = "corrected") -> np.ndarray:
-    """The q+1 accessory parameters that terminate the series at degree q.
+def _truncation_matrix(p: ParamTuple, n: int, variant: str) -> np.ndarray:
+    """The tridiagonal J_n of the recursion cut at C_n = 0 (L_m = h - J[m, m]);
+    its eigenvalues are the zeros of the continued fraction at depth n-1."""
+    M, A, B, K, c = _weights(p.exponents, p.k, variant, n)
+    if 0 in M:
+        raise DegenerateRecursion(f"M_{M.index(0)} = 0 inside the matrix range")
+    J = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(J, [a + b - c for a, b in zip(A, B)])
+    np.fill_diagonal(J[:, 1:], [-x for x in M[:-1]])
+    np.fill_diagonal(J[1:], [-x for x in K[1:]])
+    return J
 
-    They are the eigenvalues of the tridiagonal matrix encoding the
-    recursion with C_{q+1} = 0 (equivalently the roots of the finite
-    continued fraction); h in `p` is ignored.  Sorted by real part.
-    """
+
+def polynomial_eigenvalues(p: ParamTuple, q: int, variant: str = "corrected") -> np.ndarray:
+    """The q+1 accessory parameters that terminate the series at degree q:
+    the eigenvalues of the truncation matrix J_{q+1}, sorted by real part
+    (h in `p` is ignored)."""
     qt = termination_check(p)
     if qt is None or qt != q:
         raise DegenerateRecursion(
             f"termination relation does not hold with q = {q} (got {qt})"
         )
-    n = q + 1
-    M, A, B, K, c = _weights(p.exponents, p.k, variant, n)
-    J = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        if M[m] == 0:
-            raise DegenerateRecursion(f"M_{m} = 0 inside the matrix range")
-        J[m, m] = A[m] + B[m] - c          # L_m = h - J[m, m]
-        if m + 1 < n:
-            J[m, m + 1] = -M[m]
-        if m - 1 >= 0:
-            J[m, m - 1] = -K[m]
-    eig = np.linalg.eigvals(J)
+    eig = np.linalg.eigvals(_truncation_matrix(p, q + 1, variant))
     return eig[np.argsort(eig.real + 1e-9 * eig.imag)]
 
 
@@ -329,24 +328,30 @@ def darboux_function_eigenvalues(
     region,
     depth: int = 400,
     variant: str = "corrected",
-    n_grid: int = 241,
     tol: float = 1e-10,
 ) -> list[complex]:
     """Accessory parameters where the infinite continued fraction vanishes.
 
-    `region` is either a real interval (lo, hi) scanned by sign-change
-    bisection, or a complex box ((re_lo, re_hi), (im_lo, im_hi)) handled by
-    argument-principle subdivision.  Each root is refined to `tol` and must
-    be stable under depth doubling (else DepthUnstable); sign changes that
-    refine onto poles of the truncated fraction are discarded.
+    `region` is a complex box ((re_lo, re_hi), (im_lo, im_hi)) or a real
+    interval (lo, hi), the box of zero height.  Candidates are the
+    eigenvalues of the truncation matrix J_n (Ince's method), polished on
+    the fraction at `depth` to `tol`; n doubles from 32 until every
+    candidate polishes onto a root near itself and two successive sets
+    agree, at most to depth+1, where the eigenvalues are exactly the zeros
+    at `depth`.  Each root must be stable under depth doubling (else
+    DepthUnstable).
     """
     lo, hi = region
-    if isinstance(lo, tuple) or isinstance(lo, list):
-        roots = _complex_box_roots(p, region, depth, variant, tol)
-    else:
-        roots = _real_scan_roots(p, float(lo), float(hi), depth, variant, n_grid, tol)
+    box = region if isinstance(lo, (tuple, list)) else ((lo, hi), (0.0, 0.0))
+    prev, n = None, 32
+    while True:
+        found, resolved = _matrix_roots(p, min(n, depth + 1), box, depth, variant, tol)
+        if n > depth or (resolved and prev is not None and len(found) == len(prev)
+                         and all(np.isclose(r, prev, rtol=1e-8, atol=1e-8).any() for r in found)):
+            break
+        prev, n = found if resolved else None, 2 * n
     stable = []
-    for r in roots:
+    for r in found:
         r2 = _polish_root(p, r, 2 * depth, variant, tol)
         if abs(r2 - r) > 100 * tol * max(1.0, abs(r)):
             raise DepthUnstable(
@@ -356,34 +361,34 @@ def darboux_function_eigenvalues(
     return sorted(stable, key=lambda z: (z.real, z.imag))
 
 
-def _real_scan_roots(p, lo, hi, depth, variant, n_grid, tol) -> list[complex]:
-    hs = np.linspace(lo, hi, n_grid)
-    gs = []
-    for h in hs:
-        try:
-            gs.append(_cf_raw(h, p, depth, variant).real)
-        except ZeroPivot:
-            gs.append(float("nan"))
-    roots = []
-    for i in range(n_grid - 1):
-        a, b = gs[i], gs[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0:
+def _matrix_roots(p, n, box, depth, variant, tol) -> tuple[list[complex], bool]:
+    """The distinct zeros of g at `depth` in the box (|g| < 1e-8), polished
+    from the eigenvalues of J_n in or near it, and whether each of those
+    polished onto a root within 1% of itself.  (Near a high eigenvalue g
+    has a pole almost on the root, so a rough eigenvalue can polish onto a
+    far root, and two short truncations can agree on missing a root.)"""
+    (rl, rh), (il, ih) = box
+    pad = max(1.0, rh - rl, ih - il)
+    roots: list[complex] = []
+    resolved = True
+    for e in np.linalg.eigvals(_truncation_matrix(p, n, variant)):
+        if not (rl - pad <= e.real <= rh + pad and il - pad <= e.imag <= ih + pad):
             continue
-        x0, x1, f0 = hs[i], hs[i + 1], a
-        for _ in range(200):
-            xm = 0.5 * (x0 + x1)
-            fm = _cf_raw(xm, p, depth, variant).real
-            if f0 * fm <= 0:
-                x1 = xm
-            else:
-                x0, f0 = xm, fm
-            if x1 - x0 < tol:
-                break
-        root = 0.5 * (x0 + x1)
-        # a sign change through a pole refines to a point where |g| explodes
-        if abs(_cf_raw(root, p, depth, variant)) < 1e-4:
-            roots.append(complex(root))
-    return roots
+        r = _polish_root(p, complex(e), depth, variant, tol)
+        resolved = resolved and abs(r - e) <= 1e-2 * max(1.0, abs(e))
+        # a root within tol of the region's imaginary range is put on it:
+        # a real interval gets real roots
+        im = min(max(r.imag, il), ih)
+        if abs(r.imag - im) <= tol * max(1.0, abs(r)):
+            r = complex(r.real, im)
+        if (
+            rl <= r.real <= rh
+            and il <= r.imag <= ih
+            and abs(_cf_raw(r, p, depth, variant)) < 1e-8
+            and not np.isclose(r, roots, rtol=1e-8, atol=1e-8).any()
+        ):
+            roots.append(r)
+    return roots, resolved
 
 
 def _polish_root(p, r, depth, variant, tol) -> complex:
@@ -399,54 +404,6 @@ def _polish_root(p, r, depth, variant, tol) -> complex:
         if abs(x1 - x0) < tol * max(1.0, abs(x1)):
             break
     return x1
-
-
-def _winding_number(p, box, depth, variant, n_side=48) -> int:
-    (rl, rh), (il, ih) = box
-    corners = [complex(rl, il), complex(rh, il), complex(rh, ih), complex(rl, ih)]
-    pts = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        for t in np.linspace(0.0, 1.0, n_side, endpoint=False):
-            pts.append(a + t * (b - a))
-    vals = [_cf_raw(z, p, depth, variant) for z in pts]
-    if min(abs(v) for v in vals) < 1e-9:
-        raise ZeroPivot("root or pole too close to the box boundary")
-    total = 0.0
-    for i in range(len(vals)):
-        d = cmath.phase(vals[(i + 1) % len(vals)] / vals[i])
-        total += d
-    return round(total / (2 * cmath.pi))
-
-
-def _complex_box_roots(p, box, depth, variant, tol, _depth_limit=24) -> list[complex]:
-    (rl, rh), (il, ih) = box
-    try:
-        w = _winding_number(p, box, depth, variant)
-    except ZeroPivot:
-        eps = 1e-7 * max(rh - rl, ih - il, 1.0)
-        rl, rh, il, ih = rl - eps, rh + 2 * eps, il - 3 * eps, ih + eps
-        w = _winding_number(p, ((rl, rh), (il, ih)), depth, variant)
-    if w <= 0:
-        return []
-    if max(rh - rl, ih - il) < 1e-3 or _depth_limit == 0:
-        centre = complex((rl + rh) / 2, (il + ih) / 2)
-        root = _polish_root(p, centre, depth, variant, tol)
-        return [root] if abs(_cf_raw(root, p, depth, variant)) < 1e-6 else []
-    rm, im_ = (rl + rh) / 2, (il + ih) / 2
-    out = []
-    for sub in (
-        ((rl, rm), (il, im_)),
-        ((rm, rh), (il, im_)),
-        ((rl, rm), (im_, ih)),
-        ((rm, rh), (im_, ih)),
-    ):
-        out.extend(_complex_box_roots(p, sub, depth, variant, tol, _depth_limit - 1))
-    # merge duplicates from shared boundaries
-    merged: list[complex] = []
-    for r in out:
-        if all(abs(r - m) > 1e-8 * max(1.0, abs(r)) for m in merged):
-            merged.append(r)
-    return merged
 
 
 def convergence_domain(p: ParamTuple, h: complex, depth: int = 400, variant: str = "corrected") -> float:

@@ -31,6 +31,7 @@ from .elliptic import (
 from .errors import (
     DegenerateWronskian,
     InconclusiveAdjudication,
+    InsufficientData,
     PoleProximity,
     UntrustedCalibration,
 )
@@ -216,20 +217,21 @@ def ode_residual(
     points of the whole grid.  Grid points must keep the guard distance
     from all four singular points (and their lattice translates).  The
     same stencil is calibrated on y = sin against y'' + y = 0; an untrusted
-    calibration raises unless `require_trusted` is off.
+    calibration raises unless `require_trusted` is off.  An empty grid
+    raises InsufficientData.
     """
     md = ModulusData.from_modulus(p.k)
     pts = np.asarray(grid, dtype=complex).ravel()
+    if not pts.size:
+        raise InsufficientData("empty residual grid: no point to check")
     singular = singular_points(p.k)
     for u in pts:
         for s in singular:
             if _lattice_remainder(complex(u) - s, 2 * md.K, 2j * md.Kp) < guard:
                 raise PoleProximity(f"grid point {u} within guard of singular point")
-    worst = 0.0
-    if pts.size:
-        d2, y = _second_derivatives(f, pts, step)
-        rest = (p.h - darboux_potential(pts, p)) * y
-        worst = float(np.max(np.abs(d2 + rest) / (np.abs(d2) + np.abs(rest) + 1e-300)))
+    d2, y = _second_derivatives(f, pts, step)
+    rest = (p.h - darboux_potential(pts, p)) * y
+    worst = float(np.max(np.abs(d2 + rest) / (np.abs(d2) + np.abs(rest) + 1e-300)))
     cal = _calibration(len(pts), step)
     report = ResidualReport(
         max_relative_residual=worst,

@@ -101,6 +101,16 @@ class TestEigen:
         recs = records(out)
         assert len(recs) == 1 and recs[0]["mode"] == "function"
 
+    def test_function_mode_complex_k_real_root_once(self, capsys):
+        code, out = run_cli(
+            ["eigen", "--k", "0.5+0.3j", "--xi", "-1", "--mu", "-1", "--nu", "1",
+             "--mode", "function", "--region", "0.5", "1.5"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        recs = records(out)
+        assert len(recs) == 1 and recs[0]["h"] == "1+0j"
+
     def test_rational_parameters(self, capsys):
         code, out = run_cli(
             ["eigen", "--k", "0.6", "--nu", "6/2", "--mode", "polynomial"], capsys
@@ -130,6 +140,14 @@ class TestCatalog:
         recs = records(out)
         assert len(recs) == 24
         assert all(r["residual"] <= 1e-6 for r in recs)
+
+    def test_empty_sample_grid_is_refused(self, capsys):
+        # at k = 0.05 the sample walk of the C rows (kappa = 20) finds no point
+        code = main(["catalog", "verify", "--all", "--k", "0.05", "--nu", "3", "--h", "5.44"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN
+        assert captured.err.startswith("error:")
+        assert all(r["points"] > 0 for r in records(captured.out))
 
 
 class TestTransform:

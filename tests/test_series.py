@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from darboux.elliptic import complete_elliptic, jacobi_sn_cn_dn
 from darboux.errors import (
@@ -16,6 +18,7 @@ from darboux.errors import (
 )
 from darboux.series import (
     ParamTuple,
+    _matrix_roots,
     convergence_domain,
     darboux_function_eigenvalues,
     darboux_potential,
@@ -231,15 +234,24 @@ class TestContinuedFraction:
         assert cf.change_from_half_depth < 1e-12
 
 
+#: Lame nu = 1 at a complex modulus: its function eigenvalues are all off the real axis.
+LAME_COMPLEX = P(0, 0, 0, 1, k=0.5 + 0.3j)
+#: A root at h = 15.0146, 0.005 above a pole of the truncated fraction.
+ROOT_BY_POLE = P(-0.24591471658366582, 0.12469204519355315, 0.368277362555949,
+                 3.208248489823756, k=0.2080985922194127)
+
+
 class TestScanner:
     def test_recovers_terminating_eigenvalues(self):
-        # the three one-potential channels: prefactors sn, cn, dn
-        for exps, target in [
-            ((0, -1, -1, 1), 1 + K * K),
-            ((-1, 0, -1, 1), 1.0),
-            ((-1, -1, 0, 1), K * K),
+        # the three one-potential channels: prefactors sn, cn, dn; the cn
+        # root h = 1 stays real for complex k, and is found once
+        for exps, k, region, target in [
+            ((0, -1, -1, 1), K, (0.1, 3.0), 1 + K * K),
+            ((-1, 0, -1, 1), K, (0.1, 3.0), 1.0),
+            ((-1, -1, 0, 1), K, (0.1, 3.0), K * K),
+            ((-1, 0, -1, 1), 0.5 + 0.3j, (0.5, 1.5), 1.0),
         ]:
-            roots = darboux_function_eigenvalues(P(*exps), (0.1, 3.0), depth=400)
+            roots = darboux_function_eigenvalues(P(*exps, k=k), region, depth=400)
             assert len(roots) == 1
             assert abs(roots[0] - target) < 1e-9
 
@@ -252,14 +264,20 @@ class TestScanner:
             assert abs(r - r2) < 1e-10
 
     def test_empty_region(self):
-        assert darboux_function_eigenvalues(P(0, 0, 0, 1), (100.0, 101.0)) == []
+        for p, region in [(P(0, 0, 0, 1), (100.0, 101.0)), (LAME_COMPLEX, (0.0, 12.0))]:
+            assert darboux_function_eigenvalues(p, region) == []
 
     def test_poles_not_reported(self):
-        # the scan interval (0, 12) contains a pole of the truncated fraction
-        p = P(0, 0, 0, 1)
-        roots = darboux_function_eigenvalues(p, (0.0, 12.0), depth=400)
-        for r in roots:
-            assert abs(infinite_cf(r, p, depth=400).value) < 1e-8
+        # each region contains a pole of the truncated fraction next to a root
+        for p, region, expected in [
+            (P(0, 0, 0, 1), (0.0, 12.0), [3.6066522808608]),
+            (P(0, 0, 0, 1), ((0.0, 12.0), (-1.0, 1.0)), [3.6066522808608]),
+            (ROOT_BY_POLE, (9.633954567730381, 15.633954567730381), [15.0145858430975]),
+        ]:
+            roots = darboux_function_eigenvalues(p, region, depth=400)
+            assert roots == pytest.approx(expected, abs=1e-12)
+            for r in roots:
+                assert abs(infinite_cf(r, p, depth=400).value) < 1e-8
 
     def test_complex_box_finds_real_root(self):
         p = P(0, 0, 0, 1)
@@ -269,6 +287,34 @@ class TestScanner:
         )
         assert len(box_roots) == len(real_roots) == 1
         assert abs(box_roots[0] - real_roots[0]) < 1e-8
+        box_roots = darboux_function_eigenvalues(LAME_COMPLEX, ((0.0, 40.0), (-6.0, 1.0)))
+        expected = [3.8576351285640 - 0.3186419642223j, 14.9956832640287 - 2.2222632324899j,
+                    33.5547964498198 - 5.3904135901172j]
+        assert box_roots == pytest.approx(expected, abs=1e-10)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(
+        k=st.one_of(
+            st.floats(0.2, 0.95),
+            st.builds(cmath.rect, st.floats(0.2, 0.9), st.floats(0.1, 1.2)),
+        ),
+        exps=st.tuples(*[st.floats(-0.45, 3.0)] * 4),
+        lo=st.floats(0.0, 20.0),
+        width=st.sampled_from([8.0, 20.0]),
+        height=st.sampled_from([0.0, 1.0, 4.0]),
+    )
+    # J_32 and J_64 both polish onto no root in (20, 40), which holds two
+    @example(k=0.95, exps=(-0.3957848517478701, 0.23512594166917494, 0.9718315753059932,
+                           1.922368404248031), lo=20.0, width=20.0, height=0.0)
+    def test_doubling_matches_full_order(self, k, exps, lo, width, height):
+        # the early-stopped doubling finds what the order depth+1 matrix,
+        # whose eigenvalues are the zeros of g at `depth` exactly, finds
+        p = P(*exps, k=k)
+        region = ((lo, lo + width), (-height, height)) if height else (lo, lo + width)
+        box = region if height else (region, (0.0, 0.0))
+        full, _ = _matrix_roots(p, 401, box, 400, "corrected", 1e-10)
+        roots = darboux_function_eigenvalues(p, region, depth=400)
+        assert roots == pytest.approx(sorted(full, key=lambda z: (z.real, z.imag)), abs=1e-8)
 
 
 class TestConvergenceDomain:

@@ -11,6 +11,7 @@ from darboux.elliptic import complete_elliptic, jacobi_sn_cn_dn
 from darboux.errors import (
     DegenerateWronskian,
     InconclusiveAdjudication,
+    InsufficientData,
     PoleProximity,
     UntrustedCalibration,
 )
@@ -61,6 +62,11 @@ class TestResidual:
         K_, _ = complete_elliptic(K)
         with pytest.raises(PoleProximity):
             ode_residual(lambda u: jacobi_sn_cn_dn(u, K)[0], p, [K_ + 0.01])
+
+    def test_empty_grid_raises(self):
+        p = ParamTuple(0, 0, 0, 0, h=1.0, k=K)
+        with pytest.raises(InsufficientData):
+            ode_residual(np.sin, p, [])
 
     def test_untrusted_calibration_raises(self):
         p = ParamTuple(0, 0, 0, 0, h=1.0, k=K)
