@@ -162,14 +162,14 @@ _WALK = _walk_grid()
 
 
 def _first_crossing(ts: np.ndarray, direction: complex, k: complex, bound: float) -> int | None:
-    """Index of the first t with |sn((t + 0.02) direction, k)| >= bound.
+    """Index of the first t in `ts` with |sn(t direction, k)| >= bound.
 
     One batched sn call.  A batch whose far end overflows the theta series
     (a large modulus, where the walk stops at its first probe) is split in
     halves, so that only probes up to the crossing have to be evaluable.
     """
     try:
-        sn = jacobi_sn_cn_dn((ts + 0.02) * direction, k)[0]
+        sn = jacobi_sn_cn_dn(ts * direction, k)[0]
     except NonConvergence:
         if len(ts) == 1:
             raise
@@ -193,18 +193,21 @@ def sample_points(
     series' convergence domain, along a fixed ray from the singular point
     (fixed rays keep the principal-branch prefactor on one sheet).
 
-    The ray is walked outward over ``_WALK`` (one batched sn call) until
-    |sn(w, kappa)| reaches 80% of the certified bound; `count` points are
-    spread over the admissible stretch,
-    staying clear of the singular point itself (finite-difference stencils
-    around the returned points must keep the residual oracle's pole guard).
+    The ray is walked outward over ``_WALK``, in units of the transformed
+    radius min(1, 1/|kappa|) (one batched sn call), until |sn(w, kappa)|
+    reaches 80% of the certified bound; `count` points are spread over the
+    admissible stretch, staying clear of the singular point itself
+    (finite-difference stencils around the returned points must keep the
+    residual oracle's pole guard).
     """
     pt = transformed_tuple(sid, p)
     a, b = sid.row.substitution_parts(p.k)
-    bound = 0.8 * min(1.0, 1.0 / abs(pt.k))
+    radius = min(1.0, 1.0 / abs(pt.k))
+    bound = 0.8 * radius
     direction = cmath.exp(1j * angle)
-    crossed = _first_crossing(_WALK[:-1], direction, pt.k, bound)
-    t_max = _WALK[-1 if crossed is None else crossed]
+    walk = _WALK * radius
+    crossed = _first_crossing(walk[1:], direction, pt.k, bound)
+    t_max = walk[-1 if crossed is None else crossed]
     w = np.linspace(0.35 * t_max, 0.95 * t_max, count) * direction
     sn = jacobi_sn_cn_dn(w, pt.k)[0]
     return [complex(x) for x in (w / a - b)[np.abs(sn) < bound]]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -50,10 +50,16 @@ class RunConfig:
     def validate(self) -> None:
         if self.truncation < 8:
             raise ValueError("truncation must be >= 8")
-        if self.cf_depth < 2 * self.truncation:
-            raise ValueError("cf depth must be >= 2 * truncation")
+        if self.cf_depth < 1:
+            raise ValueError("cf depth must be >= 1")
         if self.guard <= 0:
             raise ValueError("pole guard must be > 0")
+
+
+#: tuning flag -> RunConfig field (whose default gives the flag's default and
+#: type); each command takes only the flags it reads
+_TUNING = {"trunc": "truncation", "depth": "cf_depth", "tol": "tolerance", "guard": "guard",
+           "seed": "seed"}
 
 
 class _Emitter:
@@ -92,7 +98,7 @@ def _cstr(z: complex) -> str:
     return f"{z.real:.15g}{z.imag:+.15g}j"
 
 
-def _param_tuple(args, cfg: RunConfig, need_h: bool = True) -> ParamTuple:
+def _param_tuple(args, need_h: bool = True) -> ParamTuple:
     vals = [_parse_number(getattr(args, name)) for name in ("xi", "eta", "mu", "nu")]
     h = _parse_number(args.h) if need_h and args.h is not None else 0
     return ParamTuple(*[_to_complex(v) for v in vals], h=_to_complex(h), k=complex(args.k))
@@ -108,29 +114,25 @@ def _add_param_flags(sp, need_h: bool = True):
         sp.add_argument("--h", type=str, default=None, help="accessory parameter")
 
 
-def _add_common(sp):
+def _add_common(sp, *tuning):
+    """--variant and --format (every record is stamped), plus the named
+    tuning flags of ``_TUNING``."""
     sp.add_argument("--variant", choices=("corrected", "paper"), default="corrected")
-    sp.add_argument("--trunc", type=int, default=200)
-    sp.add_argument("--depth", type=int, default=400)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--guard", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", dest="fmt", choices=("json-lines", "csv"), default="json-lines")
+    for flag in tuning:
+        default = getattr(RunConfig, _TUNING[flag])
+        sp.add_argument("--" + flag, dest=_TUNING[flag], type=type(default), default=default)
 
 
 def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        truncation=args.trunc, cf_depth=args.depth, tolerance=args.tol,
-        guard=args.guard, seed=args.seed, fmt=args.fmt, variant=args.variant,
-    )
+    cfg = RunConfig(**{f.name: getattr(args, f.name)
+                       for f in fields(RunConfig) if hasattr(args, f.name)})
     cfg.validate()
     return cfg
 
 
-def cmd_eval(args) -> int:
-    cfg = _config(args)
-    out = _Emitter(cfg)
-    p = _param_tuple(args, cfg)
+def cmd_eval(args, cfg: RunConfig, out: _Emitter) -> int:
+    p = _param_tuple(args)
     if args.points:
         us = np.array([complex(t) for t in args.points])
     else:
@@ -149,10 +151,8 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_eigen(args) -> int:
-    cfg = _config(args)
-    out = _Emitter(cfg)
-    p = _param_tuple(args, cfg, need_h=False)
+def cmd_eigen(args, cfg: RunConfig, out: _Emitter) -> int:
+    p = _param_tuple(args, need_h=False)
     if args.mode == "polynomial":
         # exact-rational termination check when the inputs allow it
         vals = [_parse_number(getattr(args, n)) for n in ("xi", "eta", "mu", "nu")]
@@ -182,9 +182,7 @@ def cmd_eigen(args) -> int:
     return EXIT_OK
 
 
-def cmd_catalog(args) -> int:
-    cfg = _config(args)
-    out = _Emitter(cfg)
+def cmd_catalog(args, cfg: RunConfig, out: _Emitter) -> int:
     ids = cat.enumerate_192()
     if args.action == "list":
         for sid in ids:
@@ -197,7 +195,7 @@ def cmd_catalog(args) -> int:
             })
         return EXIT_OK
     # verify: residual of sampled instantiated solutions against the original equation
-    p = _param_tuple(args, cfg)
+    p = _param_tuple(args)
     rng = np.random.default_rng(cfg.seed)
     if args.all:
         sample = ids
@@ -221,10 +219,8 @@ def cmd_catalog(args) -> int:
     return EXIT_OK if worst <= 1e-6 else EXIT_VERIFY
 
 
-def cmd_transform(args) -> int:
-    cfg = _config(args)
-    out = _Emitter(cfg)
-    p = _param_tuple(args, cfg)
+def cmd_transform(args, cfg: RunConfig, out: _Emitter) -> int:
+    p = _param_tuple(args)
     row = gii_by_name(args.row)
     pt = sigma_and_h(row, p)
     a, b = row.substitution_parts(p.k)
@@ -240,9 +236,7 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def cmd_identities(args) -> int:
-    cfg = _config(args)
-    out = _Emitter(cfg)
+def cmd_identities(args, cfg: RunConfig, out: _Emitter) -> int:
     failed = False
     if args.tables:
         report = verify.identity_harness(tol=cfg.tolerance)
@@ -280,18 +274,14 @@ def cmd_identities(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def cmd_lambda(args) -> int:
-    cfg = _config(args)
-    out = _Emitter(cfg)
+def cmd_lambda(args, cfg: RunConfig, out: _Emitter) -> int:
     for t in args.tau:
         lam = lambda_of_tau(complex(t))
         out.emit({"tau": t, "lambda_re": lam.real, "lambda_im": lam.imag})
     return EXIT_OK
 
 
-def cmd_weierstrass(args) -> int:
-    cfg = _config(args)
-    out = _Emitter(cfg)
+def cmd_weierstrass(args, cfg: RunConfig, out: _Emitter) -> int:
     if args.subaction == "evalues":
         ev = evalues_from_modulus(complex(args.k), scale=complex(args.scale))
         out.emit({"e1": _cstr(ev.e1), "e2": _cstr(ev.e2), "e3": _cstr(ev.e3),
@@ -307,9 +297,7 @@ def cmd_weierstrass(args) -> int:
     return EXIT_VERIFY if bad else EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _config(args)
-    out = _Emitter(cfg)
+def cmd_verify(args, cfg: RunConfig, out: _Emitter) -> int:
     report = verify.identity_harness(tol=cfg.tolerance)
     for rec in report.records:
         if rec.status != "ok":
@@ -336,21 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", nargs="*", default=None, help="explicit u points")
     sp.add_argument("--u-range", nargs=3, default=("0.1", "1.0", "9"),
                     metavar=("LO", "HI", "N"))
-    _add_common(sp)
+    _add_common(sp, "trunc")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("eigen", help="accessory-parameter eigenvalues")
     _add_param_flags(sp, need_h=False)
     sp.add_argument("--mode", choices=("polynomial", "function"), required=True)
     sp.add_argument("--region", nargs=2, default=None, metavar=("LO", "HI"))
-    _add_common(sp)
+    _add_common(sp, "depth", "tol")
     sp.set_defaults(func=cmd_eigen)
 
     sp = sub.add_parser("catalog", help="the 192 local solutions")
     sp.add_argument("action", choices=("list", "verify"))
     _add_param_flags(sp)
     sp.add_argument("--all", action="store_true", help="verify all 192 ids")
-    _add_common(sp)
+    _add_common(sp, "trunc", "guard", "seed")
     sp.set_defaults(func=cmd_catalog)
 
     sp = sub.add_parser("transform", help="apply one symmetry transformation")
@@ -366,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=10)
     sp.add_argument("--verbose", action="store_true")
     sp.add_argument("--k", type=str, default=None)
-    _add_common(sp)
+    _add_common(sp, "trunc", "tol", "seed")
     sp.set_defaults(func=cmd_identities)
 
     sp = sub.add_parser("lambda", help="modular lambda values")
@@ -378,13 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("subaction", choices=("evalues", "covariance"))
     sp.add_argument("--k", type=str, default="0.6")
     sp.add_argument("--scale", type=str, default="1")
-    _add_common(sp)
+    _add_common(sp, "tol")
     sp.set_defaults(func=cmd_weierstrass)
 
     sp = sub.add_parser("verify", help="full verification battery")
     sp.add_argument("--emit-docs", default=None,
                     help="directory for adjudication evidence files")
-    _add_common(sp)
+    _add_common(sp, "tol")
     sp.set_defaults(func=cmd_verify)
     return ap
 
@@ -392,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _config(args)
+        return args.func(args, cfg, _Emitter(cfg))
     except DarbouxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

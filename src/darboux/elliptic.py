@@ -284,15 +284,18 @@ def pole_distance(code: str, u: complex, k: complex) -> float:
     return _lattice_remainder(complex(u) - off, 2 * md.K, 2j * md.Kp)
 
 
-def _glyph(code: str, sn: complex, cn: complex, dn: complex) -> complex:
-    """The glyph p/q from (sn, cn, dn); letters s, c, d, n stand for sn, cn, dn, 1."""
+def _glyph(code: str, sn, cn, dn):
+    """The glyph p/q from (sn, cn, dn) scalars or arrays; letters s, c, d, n
+    stand for sn, cn, dn, 1.  PoleProximity if q vanishes at any point."""
     vals = (sn, cn, dn, 1)
     p, q = _LETTERS.index(code[0]), _LETTERS.index(code[1])
     if q == 3:
         return vals[p]
-    if vals[q] == 0:
+    den = vals[q]
+    # a scalar keeps the plain test: np.any on it costs more than the quotient
+    if (den == 0).any() if isinstance(den, np.ndarray) else den == 0:
         raise PoleProximity(f"{code} is evaluated at a pole: its denominator vanishes")
-    return vals[p] / vals[q]
+    return vals[p] / den
 
 
 def jacobi_sn_cn_dn(u, k: complex):

@@ -12,6 +12,7 @@ harness reports them together with the unique repair that passes.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -185,6 +186,15 @@ def _richardson(vals, step: float, d) -> complex:
     return (16 * stencil(f1, fh, fmh, fm1, step / 2) - stencil(f2, f1, fm1, fm2, step)) / 15
 
 
+def _first_derivative(vals, step: float):
+    """5-point central first derivative with one Richardson level, from the
+    values at ``_FD_OFFSETS`` (first axis)."""
+    f2, f1, fh, _, fmh, fm1, fm2 = vals
+    half = (fm1 - 8 * fmh + 8 * fh - f1) / (6 * step)
+    full = (fm2 - 8 * fm1 + 8 * f1 - f2) / (12 * step)
+    return (16 * half - full) / 15
+
+
 def second_derivative(f, u: complex, step: float, direction: complex = 1.0) -> complex:
     """5-point central second derivative with one Richardson level."""
     d = direction / abs(direction)
@@ -247,22 +257,24 @@ def ode_residual(
 def wronskian_constancy(f, g, grid, step: float = DEFAULT_FD_STEP) -> float:
     """Max relative deviation of W = f g' - f' g from its grid mean.
 
-    Raises DegenerateWronskian when the mean is numerically zero (the two
-    solutions are proportional: resonance warning).
+    `f` and `g` are elementwise on numpy arrays, as for ``ode_residual``:
+    each is called once, on the stencil points of the whole grid.  Raises
+    DegenerateWronskian when the mean is numerically zero (the two
+    solutions are proportional: resonance warning), InsufficientData on an
+    empty grid.
     """
-
-    def d1(fn, u):
-        def stencil(s):
-            return (fn(u - 2 * s) - 8 * fn(u - s) + 8 * fn(u + s) - fn(u + 2 * s)) / (12 * s)
-
-        return (16 * stencil(step / 2) - stencil(step)) / 15
-
-    ws = [f(u) * d1(g, u) - d1(f, u) * g(u) for u in grid]
-    mean = sum(ws) / len(ws)
-    scale = max(abs(w) for w in ws)
+    us = np.asarray(grid, dtype=complex).ravel()
+    if not us.size:
+        raise InsufficientData("empty Wronskian grid: no point to check")
+    stencil = us + step * np.array(_FD_OFFSETS)[:, None]
+    fv, gv = f(stencil), g(stencil)
+    centre = _FD_OFFSETS.index(0.0)
+    ws = fv[centre] * _first_derivative(gv, step) - _first_derivative(fv, step) * gv[centre]
+    mean = ws.mean()
+    scale = float(np.max(np.abs(ws)))
     if abs(mean) < 1e-10 * max(scale, 1e-30) or scale == 0:
         raise DegenerateWronskian("Wronskian mean is numerically zero")
-    return max(abs(w - mean) for w in ws) / abs(mean)
+    return float(np.max(np.abs(ws - mean)) / abs(mean))
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +314,25 @@ class HarnessReport:
         return not self.failures
 
 
-def _row_entry_error(anh, shift, j, scalar, glyph, k_values, u_grid) -> float:
-    worst = 0.0
-    for k in k_values:
-        k = complex(k)
-        kp = cmath.sqrt(1 - k * k)
-        a, b, kappa = _printed_substitution(anh, shift, k)
-        for u in u_grid:
-            w = a * (u + b)
-            lhs = jacobi_sn_cn_dn(w, kappa)[j]
-            rhs = scalar_value(scalar, k, kp) * _glyph(glyph, *jacobi_sn_cn_dn(u, k))
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
+#: entry prefactors i^a k^b k'^c: printed ones and repair candidates (with
+#: the 12 glyphs, 432 candidates per entry)
+_REPAIR_SCALARS = tuple((a, b, c) for a in range(4) for b in (-1, 0, 1) for c in (-1, 0, 1))
 
 
-def _repair_candidates(scalar, glyph):
-    a0, b0, c0 = scalar
-    for da in range(4):
-        for g in JACOBI_CODES:
-            for b in (-1, 0, 1):
-                for c in (-1, 0, 1):
-                    yield ((a0 + da) % 4, b, c), g
+def _row_sides(anh, shift, k, us):
+    """Both sides of a printed row's identities at the modulus k, each one
+    jacobi_sn_cn_dn call on the u array: ((sn, cn, dn)(a (u + b), kappa),
+    (sn, cn, dn)(u, k))."""
+    a, b, kappa = _printed_substitution(anh, shift, k)
+    return jacobi_sn_cn_dn(a * (us + b), kappa), jacobi_sn_cn_dn(us, k)
+
+
+def _entry_errors(lhs, glyph_values, prefactors) -> np.ndarray:
+    """Max relative error of lhs = s * glyph over the (k, u) sample, for every
+    row s of `prefactors`: one array expression over (scalar, k, u)."""
+    rhs = prefactors[:, :, None] * glyph_values
+    err = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+    return np.max(err, axis=(1, 2), initial=0.0)
 
 
 def _entry_str(scalar, glyph) -> str:
@@ -332,24 +342,29 @@ def _entry_str(scalar, glyph) -> str:
 def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
     """Check all 24 rows x 3 glyph identities; repair failing entries.
 
-    The candidate space is sign/i-factor flips times glyph swaps times
-    small k/k' power shifts; a repair is adopted only if it is the unique
-    candidate passing at `tol` on the full (k, u) sample.  Returns the
-    adopted rows together with the check records.
+    Each side of a row is evaluated once per modulus on the whole u grid
+    (``_row_sides``); the printed entry and its repair candidates are then
+    scored by array arithmetic on those values.  The candidate space is
+    every i-power prefactor times k, k' to the power -1, 0 or 1 times every
+    glyph; a repair is adopted only if it is the unique candidate passing
+    at `tol` on the full (k, u) sample.  Returns the adopted rows together
+    with the check records.
     """
     if u_grid is None:
         u_grid = _default_u_grid()
+    ks = [complex(k) for k in k_values]
+    us = np.array(u_grid, dtype=complex)
+    prefactors = np.array([[scalar_value(s, k, cmath.sqrt(1 - k * k)) for k in ks]
+                           for s in _REPAIR_SCALARS])
     records = []
     adopted_rows = {}
-    for name, (printed_shift, printed_entries) in PRINTED_ROWS.items():
+    for name, (_, printed_entries) in PRINTED_ROWS.items():
         anh = name[0]
-        label_shift = int(name[1])
-        shift = printed_shift
+        shift = adjudicated_shift(name)
         row_repairs = []
         if name == "D1":
             # printed substitution duplicates D2's; Klein-coset uniqueness
             # forces the remaining representative u + K.
-            shift = label_shift
             records.append(CheckRecord(
                 table="joint", row=name, fld="substitution", status="repaired",
                 max_error=math.nan,
@@ -357,9 +372,12 @@ def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
                 note="printed substitution identical to D2; repaired to the missing Klein coset",
             ))
             row_repairs.append("substitution: -i*kp*(u+K+iKp) -> -i*kp*(u+K)")
+        sides = np.array([_row_sides(anh, shift, k, us) for k in ks])   # (k, side, j, u)
+        new, old = sides[:, 0], np.moveaxis(sides[:, 1], 1, 0)
         entries = []
         for j, (scalar, glyph) in enumerate(printed_entries):
-            err = _row_entry_error(anh, shift, j, scalar, glyph, k_values, u_grid)
+            printed = prefactors[[_REPAIR_SCALARS.index(scalar)]]
+            err = float(_entry_errors(new[:, j], _glyph(glyph, *old), printed)[0])
             fld = ("sn", "cn", "dn")[j]
             if err < tol:
                 entries.append(GlyphEntry(scalar=scalar, glyph=glyph))
@@ -369,15 +387,10 @@ def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
                 ))
                 continue
             hits = []
-            for cand_scalar, cand_glyph in _repair_candidates(scalar, glyph):
-                # cheap single-sample rejection before the full grid
-                quick = _row_entry_error(anh, shift, j, cand_scalar, cand_glyph,
-                                         k_values[:1], u_grid[:1])
-                if quick >= tol:
-                    continue
-                e = _row_entry_error(anh, shift, j, cand_scalar, cand_glyph, k_values, u_grid)
-                if e < tol:
-                    hits.append((cand_scalar, cand_glyph, e))
+            for cand_glyph in JACOBI_CODES:
+                errs = _entry_errors(new[:, j], _glyph(cand_glyph, *old), prefactors)
+                hits += [(cs, cand_glyph, float(e))
+                         for cs, e in zip(_REPAIR_SCALARS, errs) if e < tol]
             if len(hits) == 1:
                 cs, cg, ce = hits[0]
                 entries.append(GlyphEntry(scalar=cs, glyph=cg))
@@ -443,25 +456,25 @@ def adjudicate_sigmas(k_values=DEFAULT_K_VALUES):
 
 
 def adjudicate_quarter_periods(k_values=DEFAULT_K_VALUES, tol=1e-10):
-    """Adjudicate the K(kappa_X), K'(kappa_X) columns against complete_elliptic."""
+    """Adjudicate the K(kappa_X), K'(kappa_X) columns against complete_elliptic,
+    computed once per modulus k and kappa_X(k)."""
     records = []
     adopted = {}
     cand_coeffs = (0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j)
+    cand_pairs = [(c1, c2) for c1 in cand_coeffs for c2 in cand_coeffs if (c1, c2) != (0, 0)]
+    moduli = [(k, cmath.sqrt(1 - k * k), complete_elliptic(k)) for k in map(complex, k_values)]
     for X in ANH_TAGS:
         qscale, pK, pKp = PRINTED_QUARTER[X]
         adopted[X] = {"quarter_scale": list(qscale)}
+        # per k: the printed scale, K(k), K'(k) and (K, K')(kappa_X(k))
+        periods = [(scalar_value(qscale, k, kp), K, Kp,
+                    complete_elliptic(scalar_value(PRINTED_KAPPA[X], k, kp)))
+                   for k, kp, (K, Kp) in moduli]
         for fld, printed_pair, pick in (("K", pK, 0), ("Kp", pKp, 1)):
             def err_of(pair):
-                worst = 0.0
-                for k in k_values:
-                    k = complex(k)
-                    kp = cmath.sqrt(1 - k * k)
-                    K, Kp = complete_elliptic(k)
-                    kappa = scalar_value(PRINTED_KAPPA[X], k, kp)
-                    target = complete_elliptic(kappa)[pick]
-                    pred = scalar_value(qscale, k, kp) * (pair[0] * K + pair[1] * Kp)
-                    worst = max(worst, abs(target - pred) / abs(target))
-                return worst
+                return max((abs(kappa_periods[pick] - scale * (pair[0] * K + pair[1] * Kp))
+                            / abs(kappa_periods[pick])
+                            for scale, K, Kp, kappa_periods in periods), default=0.0)
 
             err = err_of(printed_pair)
             if err < tol:
@@ -471,12 +484,7 @@ def adjudicate_quarter_periods(k_values=DEFAULT_K_VALUES, tol=1e-10):
                     printed=str(printed_pair), adopted=str(printed_pair),
                 ))
                 continue
-            hits = [
-                ((c1, c2), err_of((c1, c2)))
-                for c1 in cand_coeffs
-                for c2 in cand_coeffs
-                if (c1, c2) != (0, 0) and err_of((c1, c2)) < tol
-            ]
+            hits = [(pair, e) for pair, e in zip(cand_pairs, map(err_of, cand_pairs)) if e < tol]
             if len(hits) == 1:
                 pair, e = hits[0]
                 adopted[X]["quarter_" + fld] = pair
@@ -497,34 +505,33 @@ def adjudicate_quarter_periods(k_values=DEFAULT_K_VALUES, tol=1e-10):
 
 def adjudicate_lambda_pairings(taus=(0.31 + 1.13j, -0.4 + 0.9j, 2.1j), tol=1e-10):
     """Pair each matrix representative with the cross-ratio it realizes on
-    lambda and with the weight-2 permutation of the lattice e-values."""
+    lambda and with the weight-2 permutation of the lattice e-values
+    (each computed once per tau and per image of tau)."""
     from .weierstrass import evalues_from_tau
 
     records = []
     adopted = {}
-    perms = {p: p for p in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)]}
+    lams = [lambda_of_tau(t) for t in taus]
+    evs = [evalues_from_tau(t) for t in taus]
     for X in ANH_TAGS:
         (a, b), (c, d) = PRINTED_ANH[X]["matrix"]
+        images = [(a * t + b) / (c * t + d) for t in taus]
+        lams_new = [lambda_of_tau(t) for t in images]
+        evs_new = [evalues_from_tau(t) for t in images]
         cross_hits = []
         for tag, f in CROSS_RATIOS.items():
-            e = max(
-                abs(lambda_of_tau((a * t + b) / (c * t + d)) - f(lambda_of_tau(t)))
-                for t in taus
-            )
+            e = max(abs(ln - f(lam)) for lam, ln in zip(lams, lams_new))
             if e < tol:
                 cross_hits.append((tag, e))
         rho_hits = []
-        for perm in perms:
-            errs = []
-            for t in taus:
-                ev = evalues_from_tau(t)
-                evn = evalues_from_tau((a * t + b) / (c * t + d))
-                errs.append(max(
-                    abs(evn[j] - (c * t + d) ** 2 * ev[perm[j]]) / max(1.0, abs(evn[j]))
-                    for j in range(3)
-                ))
-            if max(errs) < 1e-8:
-                rho_hits.append((perm, max(errs)))
+        for perm in itertools.permutations(range(3)):
+            e = max(
+                max(abs(evn[j] - (c * t + d) ** 2 * ev[perm[j]]) / max(1.0, abs(evn[j]))
+                    for j in range(3))
+                for t, ev, evn in zip(taus, evs, evs_new)
+            )
+            if e < 1e-8:
+                rho_hits.append((perm, e))
         assert len(cross_hits) == 1 and len(rho_hits) == 1, (X, cross_hits, rho_hits)
         cross, ce = cross_hits[0]
         rho, re_ = rho_hits[0]
@@ -556,6 +563,7 @@ def adjudicate_accessory_maps(k_values=DEFAULT_K_VALUES, tol=1e-9):
     params = (0.23, -0.41, 0.57, 1.13)
     h = 0.77
     S = sum(g * (g + 1) for g in params)
+    us = np.array([0.31 + 0.12j, 0.77 - 0.2j, 1.1 + 0.33j])
     records = []
     for name, sigma in PRINTED_SIGMAS.items():
         anh = name[0]
@@ -566,11 +574,9 @@ def adjudicate_accessory_maps(k_values=DEFAULT_K_VALUES, tol=1e-9):
             a, b, kappa = _printed_substitution(anh, shift, k)
             hX = accessory_map(anh, h, S, k)
             newp = tuple(params[sigma[j]] for j in range(4))
-            for u in (0.31 + 0.12j, 0.77 - 0.2j, 1.1 + 0.33j):
-                w = a * (u + b)
-                lhs = h - darboux_potential(u, ParamTuple(*params, h=0, k=k))
-                rhs = a * a * (hX - darboux_potential(w, ParamTuple(*newp, h=0, k=kappa)))
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+            lhs = h - darboux_potential(us, ParamTuple(*params, h=0, k=k))
+            rhs = a * a * (hX - darboux_potential(a * (us + b), ParamTuple(*newp, h=0, k=kappa)))
+            worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))))
         note = ""
         if anh == "D":
             note = "adjudicated h_D = (-h+S)/kp^2; printed table carries a spurious h factor"
@@ -722,17 +728,12 @@ def lvariant_adjudicator(
                 raise ValueError(f"tuple {exps} does not terminate")
             if abs(exps[0] + 1) > 1e-12:
                 informative = True
+            grid = np.linspace(0.25, 0.8, 7) * complete_elliptic(k)[0].real
             for variant in ("corrected", "paper"):
                 eig = polynomial_eigenvalues(base, q, variant)[0]
                 p = ParamTuple(*exps, h=eig, k=complex(k))
                 coeffs = dl_coefficients(p, max(8, 2 * q + 4), variant=variant, mode="forward")
-
-                def f(u, p=p, coeffs=coeffs, variant=variant):
-                    return dl_eval(p, u, variant=variant, coeffs=coeffs)
-
-                K, _ = complete_elliptic(k)
-                grid = np.linspace(0.25, 0.8, 7) * K.real
-                rep = ode_residual(f, p, grid)
+                rep = ode_residual(lambda u: dl_eval(p, u, variant=variant, coeffs=coeffs), p, grid)
                 evidence.append(VariantEvidence(
                     exponents=exps, k=complex(k), variant=variant,
                     eigenvalue=complex(eig), residual=rep.max_relative_residual,

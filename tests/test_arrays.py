@@ -11,10 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darboux.catalog import enumerate_192, instantiate
-from darboux.elliptic import complete_elliptic, jacobi_sn_cn_dn, pole_distance
-from darboux.errors import NonConvergence, OutsideConvergence
+from darboux.elliptic import (
+    JACOBI_CODES,
+    _glyph,
+    complete_elliptic,
+    jacobi_sn_cn_dn,
+    pole_distance,
+)
+from darboux.errors import NonConvergence, OutsideConvergence, PoleProximity
 from darboux.series import ParamTuple, darboux_potential, dl_coefficients, dl_eval
-from darboux.verify import ode_residual
+from darboux.verify import ode_residual, wronskian_constancy
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -74,6 +80,19 @@ class TestJacobiArrays:
     def test_far_off_array_is_typed(self):
         with pytest.raises(NonConvergence):
             jacobi_sn_cn_dn(np.array([0.2, 0.3 + 90j]), 0.6)
+
+    def test_glyph_array_matches_per_point(self):
+        us = np.array([0.3 + 0.1j, 0.9 - 0.2j, 1.4 + 0.05j, 2.2 + 0.7j])
+        for k in (0.6, 0.3 + 0.4j, 1 / 0.3):
+            sn, cn, dn = jacobi_sn_cn_dn(us, k)
+            for code in JACOBI_CODES:
+                per_point = [_glyph(code, sn[i], cn[i], dn[i]) for i in range(len(us))]
+                assert np.array_equal(_glyph(code, sn, cn, dn), per_point)
+
+    def test_glyph_array_on_a_pole_is_typed(self):
+        # sn(0) = 0 exactly: u = 0 is a pole of ns
+        with pytest.raises(PoleProximity):
+            _glyph("ns", *jacobi_sn_cn_dn(np.array([0.3, 0.0]), 0.6))
 
 
 def reference_value(p: ParamTuple, coeffs, u: complex) -> complex:
@@ -184,3 +203,16 @@ class TestCatalogArrays:
         rep = ode_residual(f, p, np.linspace(0.25, 1.1, 9))
         assert rep.max_relative_residual <= 1e-6
         assert len(calls) == 1 and calls[0][-1] == 9
+
+    def test_wronskian_calls_each_solution_once(self):
+        calls = []
+
+        def counted(fn):
+            def call(u):
+                calls.append(np.shape(u))
+                return fn(u)
+            return call
+
+        dev = wronskian_constancy(counted(np.sin), counted(np.cos), np.linspace(0.2, 1.4, 9))
+        assert dev <= 1e-9
+        assert len(calls) == 2 and all(c[-1] == 9 for c in calls)

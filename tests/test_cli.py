@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from darboux.cli import EXIT_DOMAIN, EXIT_MODE, EXIT_OK, main
 
@@ -141,13 +142,15 @@ class TestCatalog:
         assert len(recs) == 24
         assert all(r["residual"] <= 1e-6 for r in recs)
 
-    def test_empty_sample_grid_is_refused(self, capsys):
-        # at k = 0.05 the sample walk of the C rows (kappa = 20) finds no point
-        code = main(["catalog", "verify", "--all", "--k", "0.05", "--nu", "3", "--h", "5.44"])
-        captured = capsys.readouterr()
-        assert code == EXIT_DOMAIN
-        assert captured.err.startswith("error:")
-        assert all(r["points"] > 0 for r in records(captured.out))
+    @pytest.mark.parametrize("k", ["0.05", "0.02", "0.9999"])
+    def test_extreme_modulus_sample_grid_is_full(self, k, capsys):
+        # |kappa| = 1/k (rows C), 1/k' (rows D) or k/k' (rows A) is far above
+        # 1 here; the walk in units of 1/|kappa| still finds every point
+        code, out = run_cli(["catalog", "verify", "--all", "--k", k, "--nu", "3", "--h", "5.44"],
+                            capsys)
+        assert code == EXIT_OK
+        recs = records(out)
+        assert len(recs) == 192 and all(r["points"] == 5 for r in recs)
 
 
 class TestTransform:
@@ -238,11 +241,36 @@ class TestDeterminismAndFormats:
 
     def test_config_validation(self, capsys):
         code, _ = run_cli(
-            ["eigen", "--k", "0.6", "--nu", "3", "--mode", "polynomial",
+            ["eval", "--k", "0.6", "--nu", "1", "--h", "0.83", "--points", "0.3",
              "--trunc", "4"],
             capsys,
         )
         assert code == EXIT_DOMAIN
+
+    def test_truncation_without_depth(self, capsys):
+        # eval reads --trunc only: no depth cross-check applies
+        code, out = run_cli(
+            ["eval", "--k", "0.6", "--nu", "1", "--h", "0.83", "--points", "0.3",
+             "--trunc", "300"],
+            capsys,
+        )
+        assert code == EXIT_OK and len(records(out)) == 1
+
+    def test_depth_without_truncation(self, capsys):
+        code, out = run_cli(
+            ["eigen", "--k", "0.6", "--nu", "1", "--mode", "function",
+             "--region", "0", "12", "--depth", "100"],
+            capsys,
+        )
+        assert code == EXIT_OK and records(out)[0]["depth"] == 100
+
+    def test_unread_flag_is_rejected(self, capsys):
+        # eval has no pole guard to set
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--k", "0.6", "--nu", "1", "--h", "0.83", "--points", "0.3",
+                  "--guard", "5"])
+        assert exc.value.code == 2
+        assert "--guard" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from darboux.elliptic import complete_elliptic, jacobi_sn_cn_dn
+from darboux.elliptic import _glyph, complete_elliptic, jacobi_sn_cn_dn
 from darboux.errors import (
     DegenerateWronskian,
     InconclusiveAdjudication,
@@ -16,9 +16,13 @@ from darboux.errors import (
     UntrustedCalibration,
 )
 from darboux.series import ParamTuple, dl_coefficients, dl_eval
+from darboux.symmetry import scalar_value
 from darboux.verify import (
     DEFAULT_FD_STEP,
-    _row_entry_error,
+    PRINTED_ROWS,
+    _entry_errors,
+    _printed_substitution,
+    _row_sides,
     adjudicate_lambda_pairings,
     identity_harness,
     lvariant_adjudicator,
@@ -81,7 +85,7 @@ class TestResidual:
 class TestWronskian:
     def test_sin_cos(self):
         grid = np.linspace(0.2, 1.4, 9)
-        dev = wronskian_constancy(cmath.sin, cmath.cos, grid)
+        dev = wronskian_constancy(np.sin, np.cos, grid)
         assert dev <= 1e-9
 
     def test_two_exponent_branches(self):
@@ -103,7 +107,11 @@ class TestWronskian:
 
     def test_degenerate(self):
         with pytest.raises(DegenerateWronskian):
-            wronskian_constancy(cmath.sin, cmath.sin, np.linspace(0.2, 1.0, 5))
+            wronskian_constancy(np.sin, np.sin, np.linspace(0.2, 1.0, 5))
+
+    def test_empty_grid_raises(self):
+        with pytest.raises(InsufficientData):
+            wronskian_constancy(np.sin, np.cos, [])
 
 
 class TestHarness:
@@ -111,6 +119,21 @@ class TestHarness:
         report = identity_harness()
         assert report.passed()
         assert len(report.records) == 145
+
+    def test_each_side_evaluated_once_per_modulus(self, monkeypatch):
+        # the sides come from the array path; the scalar theta loop and the
+        # AGM run only for the lambda/e-value checks and the quarter periods
+        import darboux.elliptic as elliptic
+
+        identity_harness()
+        calls = {"_theta_series": 0, "_agm": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(elliptic, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(elliptic, name, counted)
+        identity_harness()
+        assert calls["_theta_series"] <= 100 and calls["_agm"] <= 100
 
     def test_grid_on_a_pole_is_typed(self):
         # u = 0 is a pole of the ns, ds and cs entries
@@ -136,7 +159,29 @@ class TestHarness:
         assert abs(lhs - dn / cn / K) < 1e-12
 
     def test_glyph_path_at_zero_of_sn(self):
-        assert _row_entry_error("I", 0, 1, (0, 0, 0), "cn", (0.6,), [0j]) == 0
+        # row I0's cn entry at u = 0, a zero of sn that the cn glyph does not divide by
+        new, old = _row_sides("I", 0, 0.6, np.array([0j]))
+        assert np.abs(new[1] - _glyph("cn", *old)).max() == 0
+
+    def test_entry_errors_match_per_point_loop(self):
+        # reference: each (k, u) evaluated on its own through the scalar path
+        ks, us = (0.3, 0.6, 0.9), np.array([0.41 + 0.1j, 0.9 - 0.2j, 1.2 + 0.25j])
+        for name in ("I2", "C3", "E1"):
+            shift, entries = PRINTED_ROWS[name]
+            sides = np.array([_row_sides(name[0], shift, k, us) for k in ks])
+            new, old = sides[:, 0], np.moveaxis(sides[:, 1], 1, 0)
+            for j, (scalar, glyph) in enumerate(entries):
+                ref = 0.0
+                for k in ks:
+                    a, b, kappa = _printed_substitution(name[0], shift, complex(k))
+                    s = scalar_value(scalar, k, cmath.sqrt(1 - k * k))
+                    for u in us:
+                        rhs = s * _glyph(glyph, *jacobi_sn_cn_dn(complex(u), k))
+                        lhs = jacobi_sn_cn_dn(complex(a * (u + b)), kappa)[j]
+                        ref = max(ref, abs(lhs - rhs) / max(1.0, abs(rhs)))
+                pref = np.array([[scalar_value(scalar, k, cmath.sqrt(1 - k * k)) for k in ks]])
+                err = _entry_errors(new[:, j], _glyph(glyph, *old), pref)[0]
+                assert abs(err - ref) <= 1e-13 * max(1.0, ref)
 
     def test_lambda_pairing_unique(self):
         adopted, records = adjudicate_lambda_pairings()
