@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import SINGULAR_POINT_NAMES, jacobi_sn_cn_dn
-from .errors import NonConvergence
 from .series import (
     convergence_domain,
     dl_coefficients,
@@ -161,28 +160,6 @@ def _walk_grid() -> np.ndarray:
 _WALK = _walk_grid()
 
 
-def _first_crossing(ts: np.ndarray, direction: complex, k: complex, bound: float) -> int | None:
-    """Index of the first t in `ts` with |sn(t direction, k)| >= bound.
-
-    One batched sn call.  A batch whose far end overflows the theta series
-    (a large modulus, where the walk stops at its first probe) is split in
-    halves, so that only probes up to the crossing have to be evaluable.
-    """
-    try:
-        sn = jacobi_sn_cn_dn(ts * direction, k)[0]
-    except NonConvergence:
-        if len(ts) == 1:
-            raise
-        half = len(ts) // 2
-        first = _first_crossing(ts[:half], direction, k, bound)
-        if first is not None:
-            return first
-        rest = _first_crossing(ts[half:], direction, k, bound)
-        return None if rest is None else half + rest
-    crossed = np.flatnonzero(np.abs(sn) >= bound)
-    return int(crossed[0]) if crossed.size else None
-
-
 def sample_points(
     sid: SolutionId,
     p: ParamTuple,
@@ -194,8 +171,9 @@ def sample_points(
     (fixed rays keep the principal-branch prefactor on one sheet).
 
     The ray is walked outward over ``_WALK``, in units of the transformed
-    radius min(1, 1/|kappa|) (one batched sn call), until |sn(w, kappa)|
-    reaches 80% of the certified bound; `count` points are spread over the
+    radius min(1, 1/|kappa|) (one batched sn call over the whole walk; a
+    NonConvergence of that call propagates), until |sn(w, kappa)| reaches
+    80% of the certified bound; `count` points are spread over the
     admissible stretch, staying clear of the singular point itself
     (finite-difference stencils around the returned points must keep the
     residual oracle's pole guard).
@@ -206,8 +184,9 @@ def sample_points(
     bound = 0.8 * radius
     direction = cmath.exp(1j * angle)
     walk = _WALK * radius
-    crossed = _first_crossing(walk[1:], direction, pt.k, bound)
-    t_max = walk[-1 if crossed is None else crossed]
+    # t_max: the walk point before the first probe with |sn| >= bound, else the end
+    crossed = np.flatnonzero(np.abs(jacobi_sn_cn_dn(walk[1:] * direction, pt.k)[0]) >= bound)
+    t_max = walk[crossed[0] if crossed.size else -1]
     w = np.linspace(0.35 * t_max, 0.95 * t_max, count) * direction
     sn = jacobi_sn_cn_dn(w, pt.k)[0]
     return [complex(x) for x in (w / a - b)[np.abs(sn) < bound]]

@@ -4,13 +4,16 @@ verify the catalog, run identity suites, emit machine-readable records.
 Output is line-delimited JSON (one record per result; CSV is a projection
 of the same fields) so reports diff cleanly in version control.  Identical
 configuration and seed produce byte-identical output.  Exit codes:
-0 ok, 2 domain/input error, 3 mode mismatch, 4 verification failure.
+0 ok, 2 domain/input error, 3 mode mismatch, 4 verification failure,
+141 (128 + SIGPIPE) when the reader closes stdout early, with nothing on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -28,13 +31,14 @@ from .series import (
     polynomial_eigenvalues,
     termination_check,
 )
-from .symmetry import ParamTuple, anh_element, gii_by_name, scalar_repr, sigma_and_h
+from .symmetry import ANH_TAGS, ParamTuple, anh_element, gii_by_name, scalar_repr, sigma_and_h
 from .weierstrass import evalues_from_modulus
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_MODE = 3
 EXIT_VERIFY = 4
+EXIT_PIPE = 141
 
 
 @dataclass
@@ -52,6 +56,8 @@ class RunConfig:
             raise ValueError("truncation must be >= 8")
         if self.cf_depth < 1:
             raise ValueError("cf depth must be >= 1")
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be > 0")
         if self.guard <= 0:
             raise ValueError("pole guard must be > 0")
 
@@ -342,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_catalog)
 
     sp = sub.add_parser("transform", help="apply one symmetry transformation")
-    sp.add_argument("--row", required=True, help="transformation name, e.g. C0")
+    sp.add_argument("--row", required=True,
+                    choices=[f"{X}{i}" for X in ANH_TAGS for i in range(4)],
+                    help="transformation name, e.g. C0")
     _add_param_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_transform)
@@ -381,7 +389,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config(args)
-        return args.func(args, cfg, _Emitter(cfg))
+        code = args.func(args, cfg, _Emitter(cfg))
+        sys.stdout.flush()   # a reader that closed early shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # stop quietly, with stdout pointed at devnull so that the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except DarbouxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -74,8 +74,9 @@ class ModulusOnUnitCircle(DarbouxError):
 
 
 class InsufficientData(DarbouxError):
-    """Not enough coefficients for an asymptotic ratio estimate, or no grid
-    point for a residual."""
+    """Not enough coefficients for an asymptotic ratio estimate, or an empty
+    sample: no grid point for a residual, no modulus, u point, tau or tuple
+    for a table or variant adjudication."""
 
 
 class DegenerateWronskian(DarbouxError):

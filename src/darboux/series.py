@@ -333,21 +333,28 @@ def darboux_function_eigenvalues(
     """Accessory parameters where the infinite continued fraction vanishes.
 
     `region` is a complex box ((re_lo, re_hi), (im_lo, im_hi)) or a real
-    interval (lo, hi), the box of zero height.  Candidates are the
-    eigenvalues of the truncation matrix J_n (Ince's method), polished on
-    the fraction at `depth` to `tol`; n doubles from 32 until every
-    candidate polishes onto a root near itself and two successive sets
-    agree, at most to depth+1, where the eigenvalues are exactly the zeros
-    at `depth`.  Each root must be stable under depth doubling (else
+    interval (lo, hi), the box of zero height; a lower bound above its
+    upper bound (or a NaN bound) raises ValueError.  Candidates are the eigenvalues of the
+    truncation matrix J_n (Ince's method), polished on the fraction at
+    `depth` to `tol`; n doubles from 32 until every candidate polishes onto
+    a root near itself and two successive sets agree, at most to depth+1,
+    where the eigenvalues are exactly the zeros at `depth`.  A tuple that
+    terminates at q (K_{q+1} = 0) stops at order min(depth, q) + 1: g is
+    then a finite fraction whose zeros are exactly the eigenvalues of
+    J_{q+1}.  Each root must be stable under depth doubling (else
     DepthUnstable).
     """
     lo, hi = region
     box = region if isinstance(lo, (tuple, list)) else ((lo, hi), (0.0, 0.0))
+    if not all(a <= b for a, b in box):   # also refuses a NaN bound
+        raise ValueError(f"region {region}: each lower bound must be at most its upper bound")
+    q = termination_check(p)
+    top = depth + 1 if q is None else min(depth, q) + 1
     prev, n = None, 32
     while True:
-        found, resolved = _matrix_roots(p, min(n, depth + 1), box, depth, variant, tol)
-        if n > depth or (resolved and prev is not None and len(found) == len(prev)
-                         and all(np.isclose(r, prev, rtol=1e-8, atol=1e-8).any() for r in found)):
+        found, resolved = _matrix_roots(p, min(n, top), box, depth, variant, tol)
+        if n >= top or (resolved and prev is not None and len(found) == len(prev)
+                        and all(np.isclose(r, prev, rtol=1e-8, atol=1e-8).any() for r in found)):
             break
         prev, n = found if resolved else None, 2 * n
     stable = []

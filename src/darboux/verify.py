@@ -15,6 +15,7 @@ import cmath
 import itertools
 import json
 import math
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,10 +129,9 @@ PRINTED_SIGMAS = {
 DEFAULT_K_VALUES = (0.3, 0.6, 0.9)
 
 
-def _default_u_grid(seed: int = 7, n: int = 8) -> list[complex]:
-    rng = np.random.default_rng(seed)
-    return [complex(0.15 + 1.1 * a, 0.6 * (b - 0.5))
-            for a, b in zip(rng.random(n), rng.random(n))]
+def _default_u_grid() -> list[complex]:
+    re, im = np.random.default_rng(7).random((2, 8))
+    return [complex(0.15 + 1.1 * a, 0.6 * (b - 0.5)) for a, b in zip(re, im)]
 
 
 def _printed_substitution(anh: str, shift: int, k: complex) -> tuple[complex, complex, complex]:
@@ -141,6 +141,13 @@ def _printed_substitution(anh: str, shift: int, k: complex) -> tuple[complex, co
     a = scalar_value(PRINTED_SCALE[anh], k, kp)
     kappa = scalar_value(PRINTED_KAPPA[anh], k, kp)
     return a, singular_points(k)[shift], kappa
+
+
+def _nonempty(sample, what: str):
+    """`sample` itself; InsufficientData when it holds nothing to check."""
+    if len(sample) == 0:
+        raise InsufficientData(f"empty {what}: no point to check")
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +238,7 @@ def ode_residual(
     raises InsufficientData.
     """
     md = ModulusData.from_modulus(p.k)
-    pts = np.asarray(grid, dtype=complex).ravel()
-    if not pts.size:
-        raise InsufficientData("empty residual grid: no point to check")
+    pts = _nonempty(np.asarray(grid, dtype=complex).ravel(), "residual grid")
     singular = singular_points(p.k)
     for u in pts:
         for s in singular:
@@ -263,9 +268,7 @@ def wronskian_constancy(f, g, grid, step: float = DEFAULT_FD_STEP) -> float:
     solutions are proportional: resonance warning), InsufficientData on an
     empty grid.
     """
-    us = np.asarray(grid, dtype=complex).ravel()
-    if not us.size:
-        raise InsufficientData("empty Wronskian grid: no point to check")
+    us = _nonempty(np.asarray(grid, dtype=complex).ravel(), "Wronskian grid")
     stencil = us + step * np.array(_FD_OFFSETS)[:, None]
     fv, gv = f(stencil), g(stencil)
     centre = _FD_OFFSETS.index(0.0)
@@ -314,48 +317,65 @@ class HarnessReport:
         return not self.failures
 
 
-#: entry prefactors i^a k^b k'^c: printed ones and repair candidates (with
-#: the 12 glyphs, 432 candidates per entry)
+#: entry prefactors i^a k^b k'^c, and the 432 candidate entries (scalar,
+#: glyph) of the joint table, glyph-major; the printed entries are among them
 _REPAIR_SCALARS = tuple((a, b, c) for a in range(4) for b in (-1, 0, 1) for c in (-1, 0, 1))
+_CANDIDATES = tuple((s, g) for g in JACOBI_CODES for s in _REPAIR_SCALARS)
 
 
-def _row_sides(anh, shift, k, us):
-    """Both sides of a printed row's identities at the modulus k, each one
-    jacobi_sn_cn_dn call on the u array: ((sn, cn, dn)(a (u + b), kappa),
-    (sn, cn, dn)(u, k))."""
+def _adopt(table, row, fld, printed, err, hits, note, show=str):
+    """The rule for every printed field: adopt the unique candidate that
+    passes.  From the printed entry, its error `err` and the passing
+    (candidate, error) pairs `hits`: ok when the unique hit is the printed
+    entry, repaired (with `note`) when it is another candidate, failed when
+    none or several pass (the printed entry is kept).  Returns the adopted
+    entry and its record."""
+    if len(hits) == 1:
+        cand, e = hits[0]
+        if cand == printed:
+            return printed, CheckRecord(table, row, fld, "ok", e, show(printed), show(printed))
+        return cand, CheckRecord(table, row, fld, "repaired", e, show(printed), show(cand), note)
+    return printed, CheckRecord(table, row, fld, "failed", err, show(printed), "",
+                                f"{len(hits)} candidates passed")
+
+
+def _substituted_side(anh, shift, k, us):
+    """(sn, cn, dn)(a (u + b), kappa) of a printed row's substitution at the
+    modulus k: one jacobi_sn_cn_dn call on the u array."""
     a, b, kappa = _printed_substitution(anh, shift, k)
-    return jacobi_sn_cn_dn(a * (us + b), kappa), jacobi_sn_cn_dn(us, k)
+    return np.array(jacobi_sn_cn_dn(a * (us + b), kappa))
 
 
-def _entry_errors(lhs, glyph_values, prefactors) -> np.ndarray:
-    """Max relative error of lhs = s * glyph over the (k, u) sample, for every
-    row s of `prefactors`: one array expression over (scalar, k, u)."""
-    rhs = prefactors[:, :, None] * glyph_values
-    err = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
-    return np.max(err, axis=(1, 2), initial=0.0)
+def _candidate_sides(ks, us):
+    """Every candidate's side s * glyph(u, k), shape (glyph, scalar, k, u) in
+    the order of ``_CANDIDATES``, and its error scale max(1, |side|): from one
+    jacobi_sn_cn_dn call per modulus and one quotient per glyph."""
+    prefactors = np.array([[scalar_value(s, k, cmath.sqrt(1 - k * k)) for k in ks]
+                           for s in _REPAIR_SCALARS])
+    old = np.moveaxis(np.array([jacobi_sn_cn_dn(us, k) for k in ks]), 1, 0)   # (j, k, u)
+    sides = prefactors[:, :, None] * np.array([_glyph(g, *old) for g in JACOBI_CODES])[:, None]
+    return sides, np.maximum(1.0, np.abs(sides))
 
 
-def _entry_str(scalar, glyph) -> str:
-    return str(GlyphEntry(scalar=scalar, glyph=glyph))
+def _entry_errors(lhs, rhs, scale) -> np.ndarray:
+    """Max relative error |lhs - rhs| / scale over the trailing (k, u) axes."""
+    return np.max(np.abs(lhs - rhs) / scale, axis=(-2, -1))
 
 
 def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
     """Check all 24 rows x 3 glyph identities; repair failing entries.
 
-    Each side of a row is evaluated once per modulus on the whole u grid
-    (``_row_sides``); the printed entry and its repair candidates are then
-    scored by array arithmetic on those values.  The candidate space is
-    every i-power prefactor times k, k' to the power -1, 0 or 1 times every
-    glyph; a repair is adopted only if it is the unique candidate passing
-    at `tol` on the full (k, u) sample.  Returns the adopted rows together
-    with the check records.
+    The candidates of an entry are every i-power prefactor times k, k' to
+    the power -1, 0 or 1 times every glyph.  Their sides, and each row's
+    substituted side, are evaluated once per modulus on the whole u grid;
+    all 432 are scored by array arithmetic, and ``_adopt`` takes the unique
+    one passing at `tol` on the (k, u) sample.  An empty sample raises
+    InsufficientData.  Returns the adopted rows and the check records.
     """
-    if u_grid is None:
-        u_grid = _default_u_grid()
-    ks = [complex(k) for k in k_values]
-    us = np.array(u_grid, dtype=complex)
-    prefactors = np.array([[scalar_value(s, k, cmath.sqrt(1 - k * k)) for k in ks]
-                           for s in _REPAIR_SCALARS])
+    ks = [complex(k) for k in _nonempty(k_values, "modulus sample")]
+    u_grid = _default_u_grid() if u_grid is None else u_grid
+    us = np.array(_nonempty(u_grid, "u grid"), dtype=complex)
+    rhs, scale = _candidate_sides(ks, us)
     records = []
     adopted_rows = {}
     for name, (_, printed_entries) in PRINTED_ROWS.items():
@@ -372,47 +392,25 @@ def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
                 note="printed substitution identical to D2; repaired to the missing Klein coset",
             ))
             row_repairs.append("substitution: -i*kp*(u+K+iKp) -> -i*kp*(u+K)")
-        sides = np.array([_row_sides(anh, shift, k, us) for k in ks])   # (k, side, j, u)
-        new, old = sides[:, 0], np.moveaxis(sides[:, 1], 1, 0)
+        new = np.moveaxis(np.array([_substituted_side(anh, shift, k, us) for k in ks]), 1, 0)
+        errs = _entry_errors(new[:, None, None], rhs, scale).reshape(3, len(_CANDIDATES))
         entries = []
-        for j, (scalar, glyph) in enumerate(printed_entries):
-            printed = prefactors[[_REPAIR_SCALARS.index(scalar)]]
-            err = float(_entry_errors(new[:, j], _glyph(glyph, *old), printed)[0])
-            fld = ("sn", "cn", "dn")[j]
-            if err < tol:
-                entries.append(GlyphEntry(scalar=scalar, glyph=glyph))
-                records.append(CheckRecord(
-                    table="joint", row=name, fld=fld, status="ok", max_error=err,
-                    printed=_entry_str(scalar, glyph), adopted=_entry_str(scalar, glyph),
-                ))
-                continue
-            hits = []
-            for cand_glyph in JACOBI_CODES:
-                errs = _entry_errors(new[:, j], _glyph(cand_glyph, *old), prefactors)
-                hits += [(cs, cand_glyph, float(e))
-                         for cs, e in zip(_REPAIR_SCALARS, errs) if e < tol]
-            if len(hits) == 1:
-                cs, cg, ce = hits[0]
-                entries.append(GlyphEntry(scalar=cs, glyph=cg))
-                records.append(CheckRecord(
-                    table="joint", row=name, fld=fld, status="repaired", max_error=ce,
-                    printed=_entry_str(scalar, glyph), adopted=_entry_str(cs, cg),
-                    note=f"printed entry off by {err:.2e}",
-                ))
-                row_repairs.append(f"{fld}: {_entry_str(scalar, glyph)} -> {_entry_str(cs, cg)}")
-            else:
-                records.append(CheckRecord(
-                    table="joint", row=name, fld=fld, status="failed", max_error=err,
-                    printed=_entry_str(scalar, glyph), adopted="",
-                    note=f"{len(hits)} candidates passed",
-                ))
-                entries.append(GlyphEntry(scalar=scalar, glyph=glyph))
+        for fld, printed, row_errs in zip(("sn", "cn", "dn"), printed_entries, errs):
+            err = float(row_errs[_CANDIDATES.index(printed)])
+            hits = [(_CANDIDATES[i], float(row_errs[i])) for i in np.flatnonzero(row_errs < tol)]
+            entry, rec = _adopt("joint", name, fld, printed, err, hits,
+                                f"printed entry off by {err:.2e}",
+                                show=lambda e: str(GlyphEntry(*e)))
+            entries.append(entry)
+            records.append(rec)
+            if rec.status == "repaired":
+                row_repairs.append(f"{fld}: {rec.printed} -> {rec.adopted}")
         adopted_rows[name] = {
             "name": name,
             "anh": anh,
             "shift": shift,
             "perm": list(PRINTED_SIGMAS[name]),
-            "entries": [[list(e.scalar), e.glyph] for e in entries],
+            "entries": [[list(scalar), glyph] for scalar, glyph in entries],
             "repairs": row_repairs,
         }
     return adopted_rows, records
@@ -441,7 +439,9 @@ def adjudicated_shift(name: str) -> int:
 
 
 def adjudicate_sigmas(k_values=DEFAULT_K_VALUES):
-    """Cross-check every printed sigma against the substitution-derived one."""
+    """Cross-check every printed sigma against the substitution-derived one
+    at each modulus; an empty `k_values` raises InsufficientData."""
+    _nonempty(k_values, "modulus sample")
     records = []
     for name in PRINTED_ROWS:
         derived = {derive_sigma_from_substitution(name, k) for k in k_values}
@@ -457,12 +457,16 @@ def adjudicate_sigmas(k_values=DEFAULT_K_VALUES):
 
 def adjudicate_quarter_periods(k_values=DEFAULT_K_VALUES, tol=1e-10):
     """Adjudicate the K(kappa_X), K'(kappa_X) columns against complete_elliptic,
-    computed once per modulus k and kappa_X(k)."""
+    computed once per modulus k and kappa_X(k).  ``_adopt`` takes the unique
+    pair (c1, c2) in {0, +-1, +-i, 1+-i}^2 of K(k), K'(k) passing at `tol` on
+    every modulus; an empty `k_values` raises InsufficientData.
+    """
     records = []
     adopted = {}
     cand_coeffs = (0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j)
     cand_pairs = [(c1, c2) for c1 in cand_coeffs for c2 in cand_coeffs if (c1, c2) != (0, 0)]
-    moduli = [(k, cmath.sqrt(1 - k * k), complete_elliptic(k)) for k in map(complex, k_values)]
+    moduli = [(k, cmath.sqrt(1 - k * k), complete_elliptic(k))
+              for k in map(complex, _nonempty(k_values, "modulus sample"))]
     for X in ANH_TAGS:
         qscale, pK, pKp = PRINTED_QUARTER[X]
         adopted[X] = {"quarter_scale": list(qscale)}
@@ -470,113 +474,86 @@ def adjudicate_quarter_periods(k_values=DEFAULT_K_VALUES, tol=1e-10):
         periods = [(scalar_value(qscale, k, kp), K, Kp,
                     complete_elliptic(scalar_value(PRINTED_KAPPA[X], k, kp)))
                    for k, kp, (K, Kp) in moduli]
-        for fld, printed_pair, pick in (("K", pK, 0), ("Kp", pKp, 1)):
-            def err_of(pair):
-                return max((abs(kappa_periods[pick] - scale * (pair[0] * K + pair[1] * Kp))
-                            / abs(kappa_periods[pick])
-                            for scale, K, Kp, kappa_periods in periods), default=0.0)
-
-            err = err_of(printed_pair)
-            if err < tol:
-                adopted[X]["quarter_" + fld] = printed_pair
-                records.append(CheckRecord(
-                    table="quarter", row=X, fld=fld, status="ok", max_error=err,
-                    printed=str(printed_pair), adopted=str(printed_pair),
-                ))
-                continue
-            hits = [(pair, e) for pair, e in zip(cand_pairs, map(err_of, cand_pairs)) if e < tol]
-            if len(hits) == 1:
-                pair, e = hits[0]
-                adopted[X]["quarter_" + fld] = pair
-                note = ("branch convention: principal-AGM value sits on the other side "
-                        "of the cut" if X in ("C", "E") else "misprint repaired")
-                records.append(CheckRecord(
-                    table="quarter", row=X, fld=fld, status="repaired", max_error=e,
-                    printed=str(printed_pair), adopted=str(pair), note=note,
-                ))
-            else:
-                records.append(CheckRecord(
-                    table="quarter", row=X, fld=fld, status="failed", max_error=err,
-                    printed=str(printed_pair), adopted="", note=f"{len(hits)} candidates",
-                ))
-                adopted[X]["quarter_" + fld] = printed_pair
+        note = ("branch convention: principal-AGM value sits on the other side "
+                "of the cut" if X in ("C", "E") else "misprint repaired")
+        for fld, printed, pick in (("K", pK, 0), ("Kp", pKp, 1)):
+            scored = [(pair, max(abs(kappa_periods[pick] - scale * (pair[0] * K + pair[1] * Kp))
+                                 / abs(kappa_periods[pick])
+                                 for scale, K, Kp, kappa_periods in periods))
+                      for pair in cand_pairs]
+            err = next(e for pair, e in scored if pair == printed)
+            adopted[X]["quarter_" + fld], rec = _adopt(
+                "quarter", X, fld, printed, err, [(pair, e) for pair, e in scored if e < tol], note)
+            records.append(rec)
     return adopted, records
 
 
 def adjudicate_lambda_pairings(taus=(0.31 + 1.13j, -0.4 + 0.9j, 2.1j), tol=1e-10):
     """Pair each matrix representative with the cross-ratio it realizes on
     lambda and with the weight-2 permutation of the lattice e-values
-    (each computed once per tau and per image of tau)."""
+    (each computed once per tau and per image of tau).  ``_adopt`` takes the
+    unique cross-ratio passing at `tol` and permutation passing at 1e-8 on
+    every tau: at tau = i, where lambda = 1 - lambda, cross-ratios pair up
+    and fail.  An empty `taus` raises InsufficientData.
+    """
     from .weierstrass import evalues_from_tau
 
     records = []
     adopted = {}
-    lams = [lambda_of_tau(t) for t in taus]
+    lams = [lambda_of_tau(t) for t in _nonempty(taus, "tau sample")]
     evs = [evalues_from_tau(t) for t in taus]
+    note = "pairing fixed by the lambda = k^2 normalization"
     for X in ANH_TAGS:
         (a, b), (c, d) = PRINTED_ANH[X]["matrix"]
         images = [(a * t + b) / (c * t + d) for t in taus]
         lams_new = [lambda_of_tau(t) for t in images]
         evs_new = [evalues_from_tau(t) for t in images]
-        cross_hits = []
-        for tag, f in CROSS_RATIOS.items():
-            e = max(abs(ln - f(lam)) for lam, ln in zip(lams, lams_new))
-            if e < tol:
-                cross_hits.append((tag, e))
-        rho_hits = []
-        for perm in itertools.permutations(range(3)):
-            e = max(
+        cross_errs = {tag: max(abs(ln - f(lam)) for lam, ln in zip(lams, lams_new))
+                      for tag, f in CROSS_RATIOS.items()}
+        rho_errs = {
+            perm: max(
                 max(abs(evn[j] - (c * t + d) ** 2 * ev[perm[j]]) / max(1.0, abs(evn[j]))
                     for j in range(3))
                 for t, ev, evn in zip(taus, evs, evs_new)
             )
-            if e < 1e-8:
-                rho_hits.append((perm, e))
-        assert len(cross_hits) == 1 and len(rho_hits) == 1, (X, cross_hits, rho_hits)
-        cross, ce = cross_hits[0]
-        rho, re_ = rho_hits[0]
+            for perm in itertools.permutations(range(3))
+        }
+        pc, pr = PRINTED_ANH[X]["cross"], PRINTED_ANH[X]["rho"]
+        cross, rec_cross = _adopt("lambda", X, "cross_ratio", pc, cross_errs[pc],
+                                  [(t, e) for t, e in cross_errs.items() if e < tol], note)
+        rho, rec_rho = _adopt("rho", X, "rho", pr, rho_errs[pr],
+                              [(p, e) for p, e in rho_errs.items() if e < 1e-8], note)
         adopted[X] = {"cross_ratio": cross, "rho": list(rho)}
-        pc = PRINTED_ANH[X]["cross"]
-        pr = PRINTED_ANH[X]["rho"]
-        records.append(CheckRecord(
-            table="lambda", row=X, fld="cross_ratio",
-            status="ok" if cross == pc else "repaired", max_error=ce,
-            printed=pc, adopted=cross,
-            note="" if cross == pc else "pairing fixed by the lambda = k^2 normalization",
-        ))
-        records.append(CheckRecord(
-            table="rho", row=X, fld="rho",
-            status="ok" if tuple(rho) == pr else "repaired", max_error=re_,
-            printed=str(pr), adopted=str(tuple(rho)),
-            note="" if tuple(rho) == pr else "pairing fixed by the lambda = k^2 normalization",
-        ))
+        records += [rec_cross, rec_rho]
     return adopted, records
 
 
 def adjudicate_accessory_maps(k_values=DEFAULT_K_VALUES, tol=1e-9):
     """Confirm every row's (sigma, h_X, kappa_X, substitution) jointly via
-    the equation-covariance identity h - V(u) = a^2 (h_X - V(w)).
+    the equation-covariance identity h - V(u) = a^2 (h_X - V(w)), with the
+    original side h - V(u) computed once per modulus.
 
     This is the oracle that settles row D's printed h-map (which carries a
-    spurious leading h factor) in favor of (-h + S)/k'^2.
+    spurious leading h factor) in favor of (-h + S)/k'^2.  Empty `k_values`:
+    InsufficientData.
     """
     params = (0.23, -0.41, 0.57, 1.13)
     h = 0.77
     S = sum(g * (g + 1) for g in params)
     us = np.array([0.31 + 0.12j, 0.77 - 0.2j, 1.1 + 0.33j])
+    ks = [complex(k) for k in _nonempty(k_values, "modulus sample")]
+    lhs = [h - darboux_potential(us, ParamTuple(*params, h=0, k=k)) for k in ks]
     records = []
     for name, sigma in PRINTED_SIGMAS.items():
         anh = name[0]
         shift = adjudicated_shift(name)
+        newp = tuple(params[sigma[j]] for j in range(4))
         worst = 0.0
-        for k in k_values:
-            k = complex(k)
+        for k, side in zip(ks, lhs):
             a, b, kappa = _printed_substitution(anh, shift, k)
             hX = accessory_map(anh, h, S, k)
-            newp = tuple(params[sigma[j]] for j in range(4))
-            lhs = h - darboux_potential(us, ParamTuple(*params, h=0, k=k))
             rhs = a * a * (hX - darboux_potential(a * (us + b), ParamTuple(*newp, h=0, k=kappa)))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))))
+            worst = max(worst, float(np.max(np.abs(side - rhs) / np.maximum(1.0, np.abs(side)))))
         note = ""
         if anh == "D":
             note = "adjudicated h_D = (-h+S)/kp^2; printed table carries a spurious h factor"
@@ -590,7 +567,11 @@ def adjudicate_accessory_maps(k_values=DEFAULT_K_VALUES, tol=1e-9):
 
 def identity_harness(k_values=DEFAULT_K_VALUES, u_grid=None, tol: float = 1e-10) -> HarnessReport:
     """Run every table check: 24 rows x 3 glyphs, quarter-period columns,
-    lambda/rho pairings, sigma cross-derivation, accessory covariance."""
+    lambda/rho pairings, sigma cross-derivation, accessory covariance.  The
+    first three adopt the unique passing candidate (``_adopt``), so a sample
+    that cannot decide a field (k = k') fails it, and an empty one raises
+    InsufficientData.
+    """
     report = HarnessReport()
     _, rec = adjudicate_joint_table(k_values, u_grid, tol)
     report.records.extend(rec)
@@ -620,15 +601,12 @@ def regenerate_tables():
     rec_acc = adjudicate_accessory_maps()
 
     def coeff_json(pair):
-        return [[complex(pair[0]).real, complex(pair[0]).imag],
-                [complex(pair[1]).real, complex(pair[1]).imag]]
+        return [[complex(c).real, complex(c).imag] for c in pair]
 
     anh_records = []
     for X in ANH_TAGS:
-        repairs = []
-        for r in rec_quarters + rec_pairs:
-            if r.row == X and r.status == "repaired":
-                repairs.append(f"{r.fld}: {r.printed} -> {r.adopted} ({r.note})")
+        repairs = [f"{r.fld}: {r.printed} -> {r.adopted} ({r.note})"
+                   for r in rec_quarters + rec_pairs if r.row == X and r.status == "repaired"]
         if X == "D":
             repairs.append("h map: printed h*kp^-2*(-h+S) -> (-h+S)/kp^2 (covariance oracle)")
         anh_records.append({
@@ -655,8 +633,6 @@ def regenerate_tables():
 
 def write_frozen_tables(data_dir, docs_dir=None):
     """Write the adjudicated tables (and the repair log, if docs_dir given)."""
-    import pathlib
-
     data_dir = pathlib.Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     anh_records, row_records, report = regenerate_tables()
@@ -711,16 +687,18 @@ def lvariant_adjudicator(
     of the resulting function against the original equation.  The variant
     whose residuals pass `accept` uniformly wins; InconclusiveAdjudication
     if neither passes, or if both pass on a tuple where the disputed
-    (xi+1)^2 term does not vanish.
+    (xi+1)^2 term does not vanish.  An empty `tuples` or `k_values` raises
+    InsufficientData: no evidence gives no verdict.
 
     Returns (verdict, evidence list).
     """
     if tuples is None:
         tuples = [(0, 0, 0, 3), (0, 0, -1, 2), (0, -1, -1, 1), (0, -1, 0, 2)]
+    _nonempty(k_values, "modulus sample")
     evidence = []
     passing = {"paper": True, "corrected": True}
     informative = False
-    for exps in tuples:
+    for exps in _nonempty(tuples, "tuple sample"):
         for k in k_values:
             base = ParamTuple(*exps, h=0.0, k=complex(k))
             q = termination_check(base)
@@ -749,8 +727,6 @@ def lvariant_adjudicator(
 
 
 def write_variant_evidence(docs_dir, tuples=None):
-    import pathlib
-
     docs_dir = pathlib.Path(docs_dir)
     docs_dir.mkdir(parents=True, exist_ok=True)
     verdict, evidence = lvariant_adjudicator(tuples)

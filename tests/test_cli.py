@@ -1,11 +1,16 @@
 """Command-line interface: records, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from darboux.cli import EXIT_DOMAIN, EXIT_MODE, EXIT_OK, main
+import darboux
+from darboux.cli import EXIT_DOMAIN, EXIT_MODE, EXIT_OK, EXIT_PIPE, main
 
 
 def run_cli(argv, capsys):
@@ -112,6 +117,13 @@ class TestEigen:
         recs = records(out)
         assert len(recs) == 1 and recs[0]["h"] == "1+0j"
 
+    def test_inverted_region_is_refused(self, capsys):
+        code = main(["eigen", "--k", "0.6", "--nu", "1", "--mode", "function",
+                     "--region", "3", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_rational_parameters(self, capsys):
         code, out = run_cli(
             ["eigen", "--k", "0.6", "--nu", "6/2", "--mode", "polynomial"], capsys
@@ -166,6 +178,12 @@ class TestTransform:
         assert abs(complex(r["kappa"]) - 1 / 0.6) < 1e-12
         assert r["sigma"] == "0213"
         assert complex(r["eta"]) == 0.4 and complex(r["mu"]) == 0.3
+
+    def test_unknown_row_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--row", "Z9", "--k", "0.6"])
+        assert exc.value.code == 2
+        assert "--row" in capsys.readouterr().err
 
     def test_identity_row(self, capsys):
         code, out = run_cli(
@@ -246,6 +264,29 @@ class TestDeterminismAndFormats:
             capsys,
         )
         assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    def test_nonpositive_tolerance_is_refused(self, tol, capsys):
+        code = main(["eigen", "--k", "0.6", "--nu", "1", "--mode", "function",
+                     "--region", "3", "4", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err.startswith("error: tolerance")
+
+    def test_closed_stdout_stops_quietly(self):
+        # 5000 records overflow the pipe, so the reader's close is seen mid-run
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(darboux.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from darboux.cli import main; sys.exit(main())",
+             "eval", "--k", "0.6", "--nu", "1", "--h", "0.83", "--u-range", "0.1", "1.0", "5000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_PIPE
+        assert err == b"" and json.loads(first)["u"] == "0.1+0j"
 
     def test_truncation_without_depth(self, capsys):
         # eval reads --trunc only: no depth cross-check applies

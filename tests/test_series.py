@@ -241,6 +241,10 @@ ROOT_BY_POLE = P(-0.24591471658366582, 0.12469204519355315, 0.368277362555949,
                  3.208248489823756, k=0.2080985922194127)
 
 
+#: the three eigenvalues of the terminating nu = 7 Lame channel at k = 0.6
+LAME_NU7 = [11.763777598540026, 24.328244403161552, 40.067977998298424]
+
+
 class TestScanner:
     def test_recovers_terminating_eigenvalues(self):
         # the three one-potential channels: prefactors sn, cn, dn; the cn
@@ -254,6 +258,31 @@ class TestScanner:
             roots = darboux_function_eigenvalues(P(*exps, k=k), region, depth=400)
             assert len(roots) == 1
             assert abs(roots[0] - target) < 1e-9
+
+    @pytest.mark.parametrize("exps, region, q, expected", [
+        ((-1, -1, 0, 1), (0.1, 3.0), 0, [0.36]),
+        ((0, 0, 0, 7), (0.0, 80.0), 2, LAME_NU7),
+        ((0, 0, 0, 7), ((0.0, 80.0), (-1.0, 1.0)), 2, LAME_NU7),
+    ])
+    def test_terminating_tuple_stops_at_order_q_plus_1(self, monkeypatch, exps, region, q,
+                                                        expected):
+        # K_{q+1} = 0 makes g a finite fraction: its zeros are the eigenvalues
+        # of J_{q+1}, so no larger truncation matrix is built; the roots are
+        # those of the order depth+1 search
+        import darboux.series as series
+
+        orders = []
+        build = series._truncation_matrix
+        monkeypatch.setattr(series, "_truncation_matrix",
+                            lambda p, n, variant: orders.append(n) or build(p, n, variant))
+        roots = darboux_function_eigenvalues(P(*exps), region, depth=400)
+        assert termination_check(P(*exps)) == q and max(orders) == q + 1
+        assert roots == pytest.approx(expected, abs=1e-12)
+
+    def test_inverted_region_is_refused(self):
+        for region in [(3.0, 1.0), ((0.0, 1.0), (1.0, -1.0)), (math.nan, 1.0)]:
+            with pytest.raises(ValueError):
+                darboux_function_eigenvalues(P(0, 0, 0, 1), region)
 
     def test_lame_function_roots_depth_stable(self):
         p = P(0, 0, 0, 1)

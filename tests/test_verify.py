@@ -18,12 +18,19 @@ from darboux.errors import (
 from darboux.series import ParamTuple, dl_coefficients, dl_eval
 from darboux.symmetry import scalar_value
 from darboux.verify import (
+    _CANDIDATES,
     DEFAULT_FD_STEP,
     PRINTED_ROWS,
+    _adopt,
+    _candidate_sides,
     _entry_errors,
     _printed_substitution,
-    _row_sides,
+    _substituted_side,
+    adjudicate_accessory_maps,
+    adjudicate_joint_table,
     adjudicate_lambda_pairings,
+    adjudicate_quarter_periods,
+    adjudicate_sigmas,
     identity_harness,
     lvariant_adjudicator,
     ode_residual,
@@ -120,20 +127,22 @@ class TestHarness:
         assert report.passed()
         assert len(report.records) == 145
 
-    def test_each_side_evaluated_once_per_modulus(self, monkeypatch):
-        # the sides come from the array path; the scalar theta loop and the
-        # AGM run only for the lambda/e-value checks and the quarter periods
-        import darboux.elliptic as elliptic
+    def test_each_side_evaluated_once_per_modulus(self):
+        # per modulus: one old side and 24 substituted sides, one original
+        # potential and 24 substituted ones, and each glyph quotient once;
+        # the scalar theta loop and the AGM run only for the lambda/e-value
+        # checks and the quarter periods
+        import cProfile
+        import pstats
 
         identity_harness()
-        calls = {"_theta_series": 0, "_agm": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(elliptic, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(elliptic, name, counted)
-        identity_harness()
+        prof = cProfile.Profile()
+        prof.runcall(identity_harness)
+        calls = {name: n for (_, _, name), (_, n, *_) in pstats.Stats(prof).stats.items()}
         assert calls["_theta_series"] <= 100 and calls["_agm"] <= 100
+        assert calls["jacobi_sn_cn_dn"] <= 150
+        assert calls["darboux_potential"] <= 75
+        assert calls["_glyph"] <= 12
 
     def test_grid_on_a_pole_is_typed(self):
         # u = 0 is a pole of the ns, ds and cs entries
@@ -160,16 +169,19 @@ class TestHarness:
 
     def test_glyph_path_at_zero_of_sn(self):
         # row I0's cn entry at u = 0, a zero of sn that the cn glyph does not divide by
-        new, old = _row_sides("I", 0, 0.6, np.array([0j]))
+        us = np.array([0j])
+        new, old = _substituted_side("I", 0, 0.6, us), jacobi_sn_cn_dn(us, 0.6)
         assert np.abs(new[1] - _glyph("cn", *old)).max() == 0
 
     def test_entry_errors_match_per_point_loop(self):
         # reference: each (k, u) evaluated on its own through the scalar path
         ks, us = (0.3, 0.6, 0.9), np.array([0.41 + 0.1j, 0.9 - 0.2j, 1.2 + 0.25j])
+        # every candidate's side, flattened to the order of _CANDIDATES
+        sides, scales = (a.reshape(len(_CANDIDATES), len(ks), len(us))
+                      for a in _candidate_sides([complex(k) for k in ks], us))
         for name in ("I2", "C3", "E1"):
             shift, entries = PRINTED_ROWS[name]
-            sides = np.array([_row_sides(name[0], shift, k, us) for k in ks])
-            new, old = sides[:, 0], np.moveaxis(sides[:, 1], 1, 0)
+            new = np.array([_substituted_side(name[0], shift, k, us) for k in ks])
             for j, (scalar, glyph) in enumerate(entries):
                 ref = 0.0
                 for k in ks:
@@ -179,14 +191,76 @@ class TestHarness:
                         rhs = s * _glyph(glyph, *jacobi_sn_cn_dn(complex(u), k))
                         lhs = jacobi_sn_cn_dn(complex(a * (u + b)), kappa)[j]
                         ref = max(ref, abs(lhs - rhs) / max(1.0, abs(rhs)))
-                pref = np.array([[scalar_value(scalar, k, cmath.sqrt(1 - k * k)) for k in ks]])
-                err = _entry_errors(new[:, j], _glyph(glyph, *old), pref)[0]
+                c = _CANDIDATES.index((scalar, glyph))
+                err = _entry_errors(new[:, j], sides[c], scales[c])
                 assert abs(err - ref) <= 1e-13 * max(1.0, ref)
 
     def test_lambda_pairing_unique(self):
         adopted, records = adjudicate_lambda_pairings()
         assert set(adopted) == set("IABCDE")
         assert all(r.status in ("ok", "repaired") for r in records)
+
+
+class TestAdoptionRule:
+    def test_printed_unique_is_ok(self):
+        adopted, rec = _adopt("t", "r", "f", "a", 1e-12, [("a", 1e-12)], "fixed")
+        assert adopted == "a"
+        assert (rec.status, rec.max_error, rec.printed, rec.adopted, rec.note) == (
+            "ok", 1e-12, "a", "a", "")
+
+    def test_other_candidate_unique_is_repaired(self):
+        adopted, rec = _adopt("t", "r", "f", "a", 0.5, [("b", 2e-13)], "fixed")
+        assert adopted == "b"
+        assert (rec.status, rec.max_error, rec.printed, rec.adopted, rec.note) == (
+            "repaired", 2e-13, "a", "b", "fixed")
+
+    @pytest.mark.parametrize("hits", [[], [("a", 1e-12), ("b", 2e-13)], [("b", 0.0), ("c", 0.0)]])
+    def test_none_or_several_fail(self, hits):
+        adopted, rec = _adopt("t", "r", "f", "a", 0.5, hits, "fixed")
+        assert adopted == "a"
+        assert (rec.status, rec.max_error, rec.printed, rec.adopted, rec.note) == (
+            "failed", 0.5, "a", "", f"{len(hits)} candidates passed")
+
+
+class TestIndeterminateSamples:
+    def test_lambda_at_tau_i(self):
+        # lambda(i) = 1/2 = 1 - lambda(i): the cross-ratios pair up
+        adopted, records = adjudicate_lambda_pairings(taus=(1j,))
+        assert len(records) == 12 and set(adopted) == set("IABCDE")
+        for r in records:
+            if r.table == "lambda":
+                assert (r.status, r.note, r.adopted) == ("failed", "2 candidates passed", "")
+            else:
+                assert r.status in ("ok", "repaired")
+
+    def test_harness_at_k_equal_kp(self):
+        # k = k' = 1/sqrt(2): k and k' cannot be told apart, so no glyph
+        # entry or quarter period is decided
+        report = identity_harness(k_values=(2**-0.5,))
+        glyphs = [r for r in report.records if r.table == "joint" and r.fld != "substitution"]
+        quarters = [r for r in report.records if r.table == "quarter"]
+        assert len(glyphs) == 72 and all(r.status == "failed" for r in glyphs)
+        assert len(quarters) == 12 and all(r.status == "failed" for r in quarters)
+        assert all(r.note.endswith("candidates passed") for r in glyphs + quarters)
+
+
+class TestEmptySamples:
+    @pytest.mark.parametrize("call", [
+        lambda: identity_harness(u_grid=[]),
+        lambda: identity_harness(k_values=()),
+        lambda: adjudicate_joint_table(u_grid=[]),
+        lambda: adjudicate_joint_table(k_values=()),
+        lambda: adjudicate_quarter_periods(k_values=()),
+        lambda: adjudicate_lambda_pairings(taus=()),
+        lambda: adjudicate_sigmas(k_values=()),
+        lambda: adjudicate_accessory_maps(k_values=()),
+        lambda: lvariant_adjudicator(tuples=[]),
+        lambda: lvariant_adjudicator(k_values=()),
+    ], ids=["harness-u", "harness-k", "joint-u", "joint-k", "quarter", "lambda", "sigma",
+            "accessory", "lvariant-tuples", "lvariant-k"])
+    def test_refused(self, call):
+        with pytest.raises(InsufficientData):
+            call()
 
 
 class TestFrozenData:
