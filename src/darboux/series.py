@@ -32,7 +32,6 @@ t^2 - (1+k^2) t + k^2 instead of the dominant one (Poincare/Perron).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -79,39 +78,64 @@ def _check_log_case(xi: complex) -> None:
         raise LogarithmicCase(f"xi = {xi} is in {{-3/2, -5/2, ...}}")
 
 
-@lru_cache(maxsize=16)
-def _weights(exponents: tuple, k: complex, variant: str, length: int):
-    """The h-free recursion tables for m = 0..length-1: lists M, A, B, K and
-    the variant constant c, with L_m = h - A[m] - B[m] + c.
+def _mul(a, b):
+    """a * b elementwise by CPython's scalar rule: (ar br - ai bi) + i (ar bi + ai br),
+    a real factor having imaginary part 0 (numpy's complex loops fuse multiply-adds)."""
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return a * b
+    z = np.empty(np.broadcast(a, b).shape, complex)
+    z.real, z.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    return z
 
-    Every consumer reads these shared, read-only lists.  h stays out of the
-    key, so a root search over h builds its tables once per length; 16
-    tables (at most ~2 MB) hold its matrix orders and two depths.
-    """
+
+def _square(a: np.ndarray) -> np.ndarray:
+    """a ** 2 elementwise by CPython's scalar rule: (1+0j)(a a) or libm pow."""
+    if np.iscomplexobj(a):
+        return _mul(1 + 0j, _mul(a, a))
+    return a * a if a.dtype.kind == "i" else np.float_power(a, 2)
+
+
+@lru_cache(maxsize=16)
+def _weights(exponents: tuple, k: complex, variant: str, n: int):
+    """The h-free recursion tables for m = 0..n-1: read-only arrays M, A, B, K,
+    each entry with the bits of its scalar formula in Python, and the variant
+    constant c, with L_m = h - A[m] - B[m] + c.  ``_tables`` rounds n up to a
+    power of two of at least 512, so a 200-term series and its depth-400
+    fraction share one build; h is not in the key.  A build holds at most
+    64 n bytes: 16 builds of n <= 1024 (depth 800) stay within 1 MB."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     xi, eta, mu, nu = exponents
     _check_log_case(xi)
     k2 = k * k
     c = (k2 + 1) * (xi + 1) ** 2 if variant == "paper" else 0.0
-    a1 = eta + xi + 2
-    a2 = mu + xi + 2
-    b1 = xi + eta + mu + nu + 2
-    b2 = xi + eta + mu - nu + 1
-    m2s = range(0, 2 * length, 2)
-    M = [(m2 + 2) * (m2 + 2 * xi + 3) for m2 in m2s]
-    A = [(m2 + a1) ** 2 for m2 in m2s]
-    B = [k2 * (m2 + a2) ** 2 for m2 in m2s]
-    K = [k2 * (m2 + b1) * (m2 + b2) for m2 in m2s]
+    m2 = np.arange(0, 2 * n, 2)
+    M = _mul(m2 + 2, m2 + 2 * xi + 3)
+    A = _square(m2 + (eta + xi + 2))
+    B = _mul(k2, _square(m2 + (mu + xi + 2)))
+    K = _mul(_mul(k2, m2 + (xi + eta + mu + nu + 2)), m2 + (xi + eta + mu - nu + 1))
+    for t in (M, A, B, K):
+        t.flags.writeable = False
     return M, A, B, K, c
+
+
+def _tables(p: ParamTuple, variant: str, n: int):
+    """``_weights`` of p with at least n entries."""
+    return _weights(p.exponents, p.k, variant, max(512, 1 << int(n - 1).bit_length()))
+
+
+def _recursion_lists(p: ParamTuple, h: complex, variant: str, n: int) -> tuple[list, list, list]:
+    """Lists L, M, K of the recursion at accessory parameter h for m = 0..n-1."""
+    M, A, B, K, c = _tables(p, variant, n)
+    return (h - A[:n] - B[:n] + c).tolist(), M[:n].tolist(), K[:n].tolist()
 
 
 def recursion_coeffs(m: int, p: ParamTuple, variant: str = "corrected") -> RecursionCoeffs:
     """Weights (M_m, L_m, K_m) of the three-term recursion at index m."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    M, A, B, K, c = _weights(p.exponents, p.k, variant, m + 1)
-    return RecursionCoeffs(M=M[m], L=p.h - A[m] - B[m] + c, K=K[m])
+    L, M, K = _recursion_lists(p, p.h, variant, m + 1)
+    return RecursionCoeffs(M=M[m], L=L[m], K=K[m])
 
 
 def termination_check(p: ParamTuple) -> int | None:
@@ -186,11 +210,8 @@ def dl_coefficients(
     if mode not in ("auto", "forward", "minimal"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
-        q = termination_check(p)
-        if q is None and abs(_cf_raw(p.h, p, max(2 * N, 200), variant)) < 1e-8:
-            mode = "minimal"
-        else:
-            mode = "forward"
+        near_root = termination_check(p) is None and abs(_cf_raw(p.h, p, max(2 * N, 200), variant)) < 1e-8
+        mode = "minimal" if near_root else "forward"
     if mode == "minimal":
         try:
             return _coefficients_backward(p, N, variant)
@@ -200,26 +221,20 @@ def dl_coefficients(
 
 
 def _coefficients_forward(p: ParamTuple, N: int, variant: str) -> SeriesCoefficients:
-    values = np.zeros(N + 1, dtype=complex)
-    exps = np.zeros(N + 1, dtype=np.int64)
-    values[0] = 1.0
-    prev = 0j          # C_{m-1} at the current common scale
-    cur = 1.0 + 0j
-    e = 0
-    M, A, B, K, c = _weights(p.exponents, p.k, variant, N)
+    L, M, K = _recursion_lists(p, p.h, variant, N)
+    prev, cur, e = 0j, 1.0 + 0j, 0          # C_{m-1}, C_m at the common scale 2^e
+    vals, es = [cur], [e]
     for m in range(N):
-        if M[m] == 0:
-            raise DegenerateRecursion(f"M_{m} = 0")
-        nxt = -((p.h - A[m] - B[m] + c) * cur + K[m] * prev) / M[m]
-        prev, cur = cur, nxt
-        if not (cmath.isfinite(cur.real) and cmath.isfinite(cur.imag)):
-            raise CoefficientOverflow(f"coefficient C_{m + 1} overflowed")
+        prev, cur = cur, -(L[m] * cur + K[m] * prev) / M[m]
         if abs(cur) > _RESCALE_LIMIT:
             cur = complex(math.ldexp(cur.real, -_RESCALE_SHIFT), math.ldexp(cur.imag, -_RESCALE_SHIFT))
             prev = complex(math.ldexp(prev.real, -_RESCALE_SHIFT), math.ldexp(prev.imag, -_RESCALE_SHIFT))
             e += _RESCALE_SHIFT
-        values[m + 1] = cur
-        exps[m + 1] = e
+        vals.append(cur)
+        es.append(e)
+    values, exps = np.array(vals, dtype=complex), np.array(es, dtype=np.int64)
+    if not np.isfinite(values).all():
+        raise CoefficientOverflow(f"coefficient C_{np.argmin(np.isfinite(values))} overflowed")
     term = _detect_termination(p, values, exps)
     return SeriesCoefficients(values=values, exps=exps, variant=variant, mode="forward", terminated_at=term)
 
@@ -228,18 +243,10 @@ def _detect_termination(p: ParamTuple, values: np.ndarray, exps: np.ndarray) -> 
     q = termination_check(p)
     if q is None or q >= len(values) - 1:
         return None
-    # largest magnitude among the head coefficients, in log2 scale
-    head = max(
-        (math.log2(abs(values[m])) + exps[m]) if values[m] != 0 else -1e9
-        for m in range(q + 1)
-    )
-    tail_ok = all(
-        values[m] == 0 or (math.log2(abs(values[m])) + exps[m]) < head + math.log2(1e-10)
-        for m in range(q + 1, len(values))
-    )
-    if tail_ok:
-        values[q + 1:] = 0.0
-        exps[q + 1:] = 0
+    mag = [math.log2(abs(v)) + e if v != 0 else -math.inf for v, e in zip(values.tolist(), exps.tolist())]
+    floor = max(mag[: q + 1]) + math.log2(1e-10)   # log2 of 1e-10 times the largest head term
+    if all(x < floor for x in mag[q + 1:]):
+        values[q + 1:], exps[q + 1:] = 0.0, 0
         return q
     return None
 
@@ -248,30 +255,27 @@ def _coefficients_backward(p: ParamTuple, N: int, variant: str, buffer: int = 60
     top = N + buffer
     vals = np.zeros(top + 2, dtype=complex)
     vals[top] = 1.0
-    M, A, B, K, c = _weights(p.exponents, p.k, variant, top + 1)
+    L, M, K = _recursion_lists(p, p.h, variant, top + 1)
     for m in range(top, 0, -1):
         if K[m] == 0:
             raise ZeroDivisionError
-        vals[m - 1] = -(M[m] * vals[m + 1] + (p.h - A[m] - B[m] + c) * vals[m]) / K[m]
+        vals[m - 1] = -(M[m] * vals[m + 1] + L[m] * vals[m]) / K[m]
         if abs(vals[m - 1]) > _RESCALE_LIMIT:
             vals *= 2.0**-_RESCALE_SHIFT
     if vals[0] == 0:
         raise DegenerateRecursion("backward recursion produced C_0 = 0")
-    values = (vals[: N + 1] / vals[0]).astype(complex)
-    exps = np.zeros(N + 1, dtype=np.int64)
-    return SeriesCoefficients(values=values, exps=exps, variant=variant, mode="minimal", terminated_at=None)
+    return SeriesCoefficients(values=vals[: N + 1] / vals[0], exps=np.zeros(N + 1, dtype=np.int64),
+                              variant=variant, mode="minimal", terminated_at=None)
 
 
 def _truncation_matrix(p: ParamTuple, n: int, variant: str) -> np.ndarray:
     """The tridiagonal J_n of the recursion cut at C_n = 0 (L_m = h - J[m, m]);
     its eigenvalues are the zeros of the continued fraction at depth n-1."""
-    M, A, B, K, c = _weights(p.exponents, p.k, variant, n)
-    if 0 in M:
-        raise DegenerateRecursion(f"M_{M.index(0)} = 0 inside the matrix range")
+    M, A, B, K, c = _tables(p, variant, n)
     J = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(J, [a + b - c for a, b in zip(A, B)])
-    np.fill_diagonal(J[:, 1:], [-x for x in M[:-1]])
-    np.fill_diagonal(J[1:], [-x for x in K[1:]])
+    np.fill_diagonal(J, A[:n] + B[:n] - c)
+    np.fill_diagonal(J[:, 1:], -M[: n - 1])
+    np.fill_diagonal(J[1:], -K[1:n])
     return J
 
 
@@ -281,9 +285,7 @@ def polynomial_eigenvalues(p: ParamTuple, q: int, variant: str = "corrected") ->
     (h in `p` is ignored)."""
     qt = termination_check(p)
     if qt is None or qt != q:
-        raise DegenerateRecursion(
-            f"termination relation does not hold with q = {q} (got {qt})"
-        )
+        raise DegenerateRecursion(f"termination relation does not hold with q = {q} (got {qt})")
     eig = np.linalg.eigvals(_truncation_matrix(p, q + 1, variant))
     return eig[np.argsort(eig.real + 1e-9 * eig.imag)]
 
@@ -299,14 +301,14 @@ class CFValue:
 
 def _cf_raw(h: complex, p: ParamTuple, depth: int, variant: str) -> complex:
     """One backward pass of the continued fraction over the cached tables."""
-    M, A, B, K, c = _weights(p.exponents, p.k, variant, depth + 1)
+    L, M, K = _recursion_lists(p, h, variant, depth + 1)
     tail = 0j
     for j in range(depth, 0, -1):
-        denom = (h - A[j] - B[j] + c) / M[j] - tail
+        denom = L[j] / M[j] - tail
         if denom == 0:
             raise ZeroPivot(f"vanishing partial denominator at level {j}")
         tail = (K[j] / M[j]) / denom
-    return (h - A[0] - B[0] + c) / M[0] - tail
+    return L[0] / M[0] - tail
 
 
 def infinite_cf(h: complex, p: ParamTuple, depth: int = 400, variant: str = "corrected") -> CFValue:
@@ -361,9 +363,7 @@ def darboux_function_eigenvalues(
     for r in found:
         r2 = _polish_root(p, r, 2 * depth, variant, tol)
         if abs(r2 - r) > 100 * tol * max(1.0, abs(r)):
-            raise DepthUnstable(
-                f"root {r} moved by {abs(r2 - r):.3e} when depth doubled"
-            )
+            raise DepthUnstable(f"root {r} moved by {abs(r2 - r):.3e} when depth doubled")
         stable.append(r2)
     return sorted(stable, key=lambda z: (z.real, z.imag))
 

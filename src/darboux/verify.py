@@ -239,11 +239,10 @@ def ode_residual(
     """
     md = ModulusData.from_modulus(p.k)
     pts = _nonempty(np.asarray(grid, dtype=complex).ravel(), "residual grid")
-    singular = singular_points(p.k)
     for u in pts:
-        for s in singular:
-            if _lattice_remainder(complex(u) - s, 2 * md.K, 2j * md.Kp) < guard:
-                raise PoleProximity(f"grid point {u} within guard of singular point")
+        # the four half-periods modulo (2K, 2iK') form the lattice (K, iK')
+        if _lattice_remainder(complex(u), md.K, 1j * md.Kp) < guard:
+            raise PoleProximity(f"grid point {u} within guard of singular point")
     d2, y = _second_derivatives(f, pts, step)
     rest = (p.h - darboux_potential(pts, p)) * y
     worst = float(np.max(np.abs(d2 + rest) / (np.abs(d2) + np.abs(rest) + 1e-300)))

@@ -7,7 +7,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from darboux.elliptic import _glyph, complete_elliptic, jacobi_sn_cn_dn
+from darboux.elliptic import (
+    ModulusData,
+    _glyph,
+    _lattice_remainder,
+    complete_elliptic,
+    jacobi_sn_cn_dn,
+    singular_points,
+)
 from darboux.errors import (
     DegenerateWronskian,
     InconclusiveAdjudication,
@@ -73,6 +80,36 @@ class TestResidual:
         K_, _ = complete_elliptic(K)
         with pytest.raises(PoleProximity):
             ode_residual(lambda u: jacobi_sn_cn_dn(u, K)[0], p, [K_ + 0.01])
+
+    @pytest.mark.parametrize("k", [K, 1.7, 0.5 + 0.4j])
+    def test_pole_guard_at_every_half_period_and_translate(self, k):
+        p = ParamTuple(0, 0, 0, 0, h=1.0, k=k)
+        md = ModulusData.from_modulus(k)
+        for s in singular_points(k):
+            for a, b in ((0, 0), (1, 0), (-1, 1), (2, -1), (0, -2)):
+                u = s + 2 * a * md.K + 2j * b * md.Kp + 0.01 * cmath.exp(0.7j * (a + 2 * b))
+                with pytest.raises(PoleProximity):
+                    ode_residual(np.sin, p, [1.0 + 0.2j, u], require_trusted=False)
+
+    @pytest.mark.parametrize("k", [K, 0.98, 1.7, 0.5 + 0.4j, 2 * cmath.exp(2.5j)])
+    def test_pole_guard_agrees_with_the_four_half_period_lattices(self, k):
+        # one distance to the lattice (K, iK') gives the verdict of the
+        # distances to the four half-periods modulo (2K, 2iK')
+        p = ParamTuple(0, 0, 0, 0, h=1.0, k=k)
+        md = ModulusData.from_modulus(k)
+        rng = np.random.default_rng(7)
+        pts = (rng.uniform(-1, 1, 300) * 3 * abs(md.K) + 1j * rng.uniform(-1, 1, 300) * 3 * abs(md.Kp))
+        pts[::3] = [rng.choice(singular_points(k)) + 0.1 * cmath.exp(6j * rng.random()) * rng.random()
+                    for _ in pts[::3]]
+        for u in pts:
+            dist = min(_lattice_remainder(u - s, 2 * md.K, 2j * md.Kp) for s in singular_points(k))
+            if abs(dist - 0.05) < 1e-9:
+                continue
+            if dist < 0.05:
+                with pytest.raises(PoleProximity):
+                    ode_residual(np.sin, p, [u], require_trusted=False)
+            else:
+                ode_residual(np.sin, p, [u], require_trusted=False)
 
     def test_empty_grid_raises(self):
         p = ParamTuple(0, 0, 0, 0, h=1.0, k=K)
