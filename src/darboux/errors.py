@@ -38,6 +38,11 @@ class LogarithmicCase(DarbouxError):
     generically logarithmic and outside this package's scope."""
 
 
+class NonFiniteExponent(DarbouxError):
+    """An exponent parameter is infinite or NaN: the recursion weights are
+    undefined."""
+
+
 class CoefficientOverflow(DarbouxError):
     """Recursion coefficients exceeded the representable range even after
     rescaling; caller must renormalize or reduce the truncation order."""

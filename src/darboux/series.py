@@ -32,6 +32,7 @@ t^2 - (1+k^2) t + k^2 instead of the dominant one (Poincare/Perron).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,6 +48,7 @@ from .errors import (
     LogarithmicCase,
     ModulusOnUnitCircle,
     NonConvergence,
+    NonFiniteExponent,
     OutsideConvergence,
     PoleProximity,
     ZeroPivot,
@@ -95,17 +97,20 @@ def _square(a: np.ndarray) -> np.ndarray:
     return a * a if a.dtype.kind == "i" else np.float_power(a, 2)
 
 
-@lru_cache(maxsize=16)
-def _weights(exponents: tuple, k: complex, variant: str, n: int):
+@lru_cache(maxsize=16, typed=True)
+def _weights(xi, eta, mu, nu, k, variant: str, n: int):
     """The h-free recursion tables for m = 0..n-1: read-only arrays M, A, B, K,
     each entry with the bits of its scalar formula in Python, and the variant
     constant c, with L_m = h - A[m] - B[m] + c.  ``_tables`` rounds n up to a
     power of two of at least 512, so a 200-term series and its depth-400
-    fraction share one build; h is not in the key.  A build holds at most
-    64 n bytes: 16 builds of n <= 1024 (depth 800) stay within 1 MB."""
+    fraction share one build; h is not in the key, the type of each
+    parameter is (0, 0.0 and 0j give int, float and complex tables).  A
+    build holds at most 64 n bytes: 16 builds of n <= 1024 (depth 800) stay
+    within 1 MB."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    xi, eta, mu, nu = exponents
+    if not all(cmath.isfinite(g) for g in (xi, eta, mu, nu)):
+        raise NonFiniteExponent(f"exponents {(xi, eta, mu, nu)} are not all finite")
     _check_log_case(xi)
     k2 = k * k
     c = (k2 + 1) * (xi + 1) ** 2 if variant == "paper" else 0.0
@@ -121,7 +126,7 @@ def _weights(exponents: tuple, k: complex, variant: str, n: int):
 
 def _tables(p: ParamTuple, variant: str, n: int):
     """``_weights`` of p with at least n entries."""
-    return _weights(p.exponents, p.k, variant, max(512, 1 << int(n - 1).bit_length()))
+    return _weights(*p.exponents, p.k, variant, max(512, 1 << int(n - 1).bit_length()))
 
 
 def _recursion_lists(p: ParamTuple, h: complex, variant: str, n: int) -> tuple[list, list, list]:
@@ -150,7 +155,7 @@ def termination_check(p: ParamTuple) -> int | None:
     for total, offset in ((xi + eta + mu + nu, -4), (xi + eta + mu - nu, -3)):
         # total = -2q + offset  =>  q = (offset - total) / 2
         qc = (offset - total) / 2
-        if abs(qc.imag) < _INT_TOL:
+        if abs(qc.imag) < _INT_TOL and math.isfinite(qc.real):
             r = round(qc.real)
             if abs(qc.real - r) < _INT_TOL and r >= 0:
                 qs.append(r)
@@ -256,15 +261,22 @@ def _coefficients_backward(p: ParamTuple, N: int, variant: str, buffer: int = 60
     vals = np.zeros(top + 2, dtype=complex)
     vals[top] = 1.0
     L, M, K = _recursion_lists(p, p.h, variant, top + 1)
-    for m in range(top, 0, -1):
-        if K[m] == 0:
-            raise ZeroDivisionError
-        vals[m - 1] = -(M[m] * vals[m + 1] + L[m] * vals[m]) / K[m]
-        if abs(vals[m - 1]) > _RESCALE_LIMIT:
-            vals *= 2.0**-_RESCALE_SHIFT
-    if vals[0] == 0:
-        raise DegenerateRecursion("backward recursion produced C_0 = 0")
-    return SeriesCoefficients(values=vals[: N + 1] / vals[0], exps=np.zeros(N + 1, dtype=np.int64),
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(top, 0, -1):
+            if K[m] == 0:
+                raise ZeroDivisionError
+            vals[m - 1] = -(M[m] * vals[m + 1] + L[m] * vals[m]) / K[m]
+            if abs(vals[m - 1]) > _RESCALE_LIMIT:
+                vals *= 2.0**-_RESCALE_SHIFT
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:   # the pass runs from the top: the highest index overflowed first
+            raise CoefficientOverflow(f"coefficient C_{bad.max()} overflowed in the backward pass")
+        if vals[0] == 0:
+            raise DegenerateRecursion("backward recursion produced C_0 = 0")
+        values = vals[: N + 1] / vals[0]
+    if not np.isfinite(values).all():
+        raise CoefficientOverflow(f"coefficient C_{np.argmin(np.isfinite(values))} overflowed")
+    return SeriesCoefficients(values=values, exps=np.zeros(N + 1, dtype=np.int64),
                               variant=variant, mode="minimal", terminated_at=None)
 
 
@@ -277,6 +289,23 @@ def _truncation_matrix(p: ParamTuple, n: int, variant: str) -> np.ndarray:
     np.fill_diagonal(J[:, 1:], -M[: n - 1])
     np.fill_diagonal(J[1:], -K[1:n])
     return J
+
+
+def _tridiagonal_eigvals(J: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the tridiagonal J, as a complex array.
+
+    Where J is real and every product J[m, m+1] J[m+1, m] (= M_m K_{m+1}) is
+    positive, a positive diagonal D makes D J D^-1 real symmetric, with the
+    square roots of those products off the diagonal: ``eigvalsh`` solves it,
+    every eigenvalue with condition number 1.  Any other J (complex, a product
+    <= 0, a non-finite entry) goes to ``eigvals``."""
+    d = J.diagonal().real
+    prod = (J.diagonal(1) * J.diagonal(-1)).real
+    if J.imag.any() or not (np.isfinite(d).all() and np.isfinite(prod).all() and (prod > 0).all()):
+        return np.linalg.eigvals(J)
+    S = np.diag(d)
+    np.fill_diagonal(S[1:], np.sqrt(prod))   # eigvalsh reads the lower triangle
+    return np.linalg.eigvalsh(S).astype(complex)
 
 
 def polynomial_eigenvalues(p: ParamTuple, q: int, variant: str = "corrected") -> np.ndarray:
@@ -336,15 +365,18 @@ def darboux_function_eigenvalues(
 
     `region` is a complex box ((re_lo, re_hi), (im_lo, im_hi)) or a real
     interval (lo, hi), the box of zero height; a lower bound above its
-    upper bound (or a NaN bound) raises ValueError.  Candidates are the eigenvalues of the
-    truncation matrix J_n (Ince's method), polished on the fraction at
-    `depth` to `tol`; n doubles from 32 until every candidate polishes onto
-    a root near itself and two successive sets agree, at most to depth+1,
-    where the eigenvalues are exactly the zeros at `depth`.  A tuple that
-    terminates at q (K_{q+1} = 0) stops at order min(depth, q) + 1: g is
-    then a finite fraction whose zeros are exactly the eigenvalues of
-    J_{q+1}.  Each root must be stable under depth doubling (else
-    DepthUnstable).
+    upper bound (or a NaN bound) raises ValueError.  Candidates are the
+    eigenvalues of the truncation matrix J_n (Ince's method), polished on
+    the fraction at `depth` to `tol`.  Where J_n is real and every product
+    M_m K_{m+1} is positive, they come from the real symmetric tridiagonal
+    that a diagonal similarity makes of J_n (``eigvalsh``, condition number
+    1); otherwise from the dense ``eigvals``.  n doubles from 32 until every
+    candidate polishes onto a root near itself and two successive sets
+    agree, at most to depth+1, where the eigenvalues are exactly the zeros
+    at `depth`.  A tuple that terminates at q (K_{q+1} = 0) stops at order
+    min(depth, q) + 1: g is then a finite fraction whose zeros are exactly
+    the eigenvalues of J_{q+1}.  Each root must be stable under depth
+    doubling (else DepthUnstable).
     """
     lo, hi = region
     box = region if isinstance(lo, (tuple, list)) else ((lo, hi), (0.0, 0.0))
@@ -378,7 +410,7 @@ def _matrix_roots(p, n, box, depth, variant, tol) -> tuple[list[complex], bool]:
     pad = max(1.0, rh - rl, ih - il)
     roots: list[complex] = []
     resolved = True
-    for e in np.linalg.eigvals(_truncation_matrix(p, n, variant)):
+    for e in _tridiagonal_eigvals(_truncation_matrix(p, n, variant)):
         if not (rl - pad <= e.real <= rh + pad and il - pad <= e.imag <= ih + pad):
             continue
         r = _polish_root(p, complex(e), depth, variant, tol)

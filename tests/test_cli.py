@@ -69,6 +69,15 @@ class TestEval:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("xi", ["inf", "nan"])
+    def test_nonfinite_exponent_exit_2_one_error_line(self, xi, capsys):
+        code = main(["eval", "--k", "0.6", "--nu", "1", "--xi", xi, "--h", "0.83", "--points", "0.3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: exponents")
+
 
 class TestEigen:
     def test_polynomial_nu3(self, capsys):

@@ -21,6 +21,7 @@ from darboux.errors import (
     DarbouxError,
     DegenerateRecursion,
     LogarithmicCase,
+    NonFiniteExponent,
     ZeroPivot,
 )
 from darboux.series import (
@@ -179,7 +180,7 @@ def test_kernel_matches_list_oracle_bit_for_bit(exps, k, h, variant, N, q):
     if q is not None:   # a terminating tuple: xi + eta + mu + nu = -2q - 4
         exps = (*exps[:3], -(exps[0] + exps[1] + exps[2]) - 2 * q - 4)
     p = ParamTuple(*exps, h=h, k=k)
-    # the cache key does not tell 0 from 0.0 or 0j, and the oracle has no cache
+    # the oracle has no cache: compare against a fresh build
     series._weights.cache_clear()
     got = outcome(series._tables, p, variant, 300)
     want = outcome(oracle_weights, p.exponents, p.k, variant, 300)
@@ -212,6 +213,16 @@ def test_auto_mode_builds_the_tables_once():
     before = series._weights.cache_info().misses
     dl_coefficients(p, 200)
     assert series._weights.cache_info().misses - before == 1
+
+
+@pytest.mark.parametrize("order", [(0, 0.0), (0.0, 0)])
+def test_cached_tables_keep_the_parameter_types(order):
+    # 0 and 0.0 are equal and hash alike; a build must not depend on which came first
+    series._weights.cache_clear()
+    for zero in order:
+        p = ParamTuple(zero, zero, zero, zero, zero, k=0.05)
+        assert type(recursion_coeffs(0, p).M) is type(zero)
+        assert series._tables(p, "corrected", 10)[0].dtype == np.asarray(zero).dtype
 
 
 def test_cached_tables_are_read_only():
@@ -261,3 +272,37 @@ def test_vanishing_partial_denominator(depth, nu):
     p = ParamTuple(0.0, 0.0, 0.0, nu, 0.0, k=0.5)
     with pytest.raises(ZeroPivot, match=f"^vanishing partial denominator at level {depth}$"):
         infinite_cf(1.25 * (2 * depth + 2) ** 2, p, depth=depth)
+
+
+@pytest.mark.parametrize("exps", [
+    (math.inf, 0.2, 0.3, 1.5),
+    (math.nan, 0.2, 0.3, 1.5),
+    (complex(math.inf, 0.0), 0.2, 0.3, 1.5),
+    (0.1, 0.2, complex(0.3, math.nan), 1.5),
+    (0.1, 0.2, 0.3, -math.inf),
+])
+def test_nonfinite_exponent_refused_before_any_table(exps):
+    p = ParamTuple(*exps, 5.0, k=0.6)
+    with pytest.raises(NonFiniteExponent):
+        dl_coefficients(p, 200)
+    with pytest.raises(NonFiniteExponent):
+        infinite_cf(5.0, p)
+    with pytest.raises(NonFiniteExponent):
+        recursion_coeffs(0, p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h, message", [
+    (1e153, None),
+    (1e160, "coefficient C_129 overflowed in the backward pass"),
+    (1e160 * (1 + 1j), "coefficient C_141 overflowed in the backward pass"),
+])
+def test_backward_overflow_is_refused(h, message):
+    # the backward pass rescales at 2^512, but one step with a huge L_m
+    # still overflows: never a silent NaN, never a numpy warning
+    p = ParamTuple(0.1, 0.2, 0.3, 1.5, h, k=0.6)
+    if message is None:
+        assert np.isfinite(dl_coefficients(p, 200, mode="minimal").values).all()
+    else:
+        with pytest.raises(CoefficientOverflow, match=f"^{message}$"):
+            dl_coefficients(p, 200, mode="minimal")

@@ -2,14 +2,17 @@
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from darboux import series
 from darboux.elliptic import complete_elliptic, jacobi_sn_cn_dn
 from darboux.errors import (
+    DarbouxError,
     DegenerateRecursion,
     InsufficientData,
     LogarithmicCase,
@@ -344,6 +347,72 @@ class TestScanner:
         full, _ = _matrix_roots(p, 401, box, 400, "corrected", 1e-10)
         roots = darboux_function_eigenvalues(p, region, depth=400)
         assert roots == pytest.approx(sorted(full, key=lambda z: (z.real, z.imag)), abs=1e-8)
+
+
+def _roots_or_refusal(p, region):
+    try:
+        return darboux_function_eigenvalues(p, region, depth=400)
+    except DarbouxError as exc:
+        return type(exc).__name__
+
+
+class TestTridiagonalEigvals:
+    @pytest.mark.parametrize("p, symmetric", [
+        (P(0, 0, 0, 1), True),                        # Lame nu = 1 at k = 0.6
+        (P(0, 0, 0, 1, k=0.5 + 0.3j), False),         # complex J
+        (P(-0.3, -0.3, -0.3, 3.2), False),            # M_0 K_1 < 0
+    ])
+    def test_path_selection(self, monkeypatch, p, symmetric):
+        calls = {"eigvalsh": 0, "eigvals": 0}
+
+        def spy(name):
+            solve = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return solve(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        darboux_function_eigenvalues(p, (0.0, 12.0))
+        assert calls["eigvalsh" if symmetric else "eigvals"] > 0
+        assert calls["eigvals" if symmetric else "eigvalsh"] == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 64])
+    @pytest.mark.parametrize("exps, k", [
+        ((0, 0, 0, 1), 0.6),
+        ((0.2, 0, 0, 3), 0.9),
+        ((1.3, 0.4, 2.1, 0.7), 0.3),
+        ((2.9, 2.9, 2.9, 0.1), 0.95),
+    ])
+    def test_symmetric_path_matches_dense_eigvals(self, exps, k, n):
+        J = series._truncation_matrix(P(*exps, k=k), n, "corrected")
+        assert (np.diagonal(J, 1) * np.diagonal(J, -1)).real.min(initial=1.0) > 0
+        got = np.sort(series._tridiagonal_eigvals(J))
+        want = np.linalg.eigvals(J)
+        want = want[np.argsort(want.real)]
+        assert got.dtype == complex and not got.imag.any()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        k=st.floats(0.2, 0.95),
+        exps=st.tuples(*[st.floats(-0.45, 3.0)] * 4),
+        lo=st.floats(0.0, 20.0),
+        width=st.sampled_from([8.0, 20.0]),
+        height=st.sampled_from([0.0, 1.0, 4.0]),
+    )
+    def test_same_roots_as_dense_solver(self, k, exps, lo, width, height):
+        p = P(*exps, k=k)
+        region = ((lo, lo + width), (-height, height)) if height else (lo, lo + width)
+        got = _roots_or_refusal(p, region)
+        with mock.patch.object(series, "_tridiagonal_eigvals", np.linalg.eigvals):
+            want = _roots_or_refusal(p, region)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, abs=1e-12, rel=0)
 
 
 class TestConvergenceDomain:
