@@ -294,18 +294,28 @@ def _truncation_matrix(p: ParamTuple, n: int, variant: str) -> np.ndarray:
 def _tridiagonal_eigvals(J: np.ndarray) -> np.ndarray:
     """Eigenvalues of the tridiagonal J, as a complex array.
 
-    Where J is real and every product J[m, m+1] J[m+1, m] (= M_m K_{m+1}) is
-    positive, a positive diagonal D makes D J D^-1 real symmetric, with the
-    square roots of those products off the diagonal: ``eigvalsh`` solves it,
-    every eigenvalue with condition number 1.  Any other J (complex, a product
-    <= 0, a non-finite entry) goes to ``eigvals``."""
-    d = J.diagonal().real
-    prod = (J.diagonal(1) * J.diagonal(-1)).real
-    if J.imag.any() or not (np.isfinite(d).all() and np.isfinite(prod).all() and (prod > 0).all()):
+    Where J is real, with products p_m = J[m, m+1] J[m+1, m] (= M_m K_{m+1}),
+    a positive diagonal D makes D J D^-1 sign-symmetric: sqrt|p_m| above the
+    diagonal, sign(p_m) sqrt|p_m| below it (a p_m = 0 splits J into blocks
+    with the same eigenvalues).  Where every p_m is positive that matrix is
+    real symmetric: ``eigvalsh`` solves it, every eigenvalue with condition
+    number 1.  Where some p_m <= 0 the real ``eigvals`` solves the
+    sign-symmetric matrix, at about a third of the cost of the complex solve
+    of J.  A complex J, or one with a non-finite entry, goes to ``eigvals``
+    as it is."""
+    if J.imag.any():
         return np.linalg.eigvals(J)
+    d = J.diagonal().real
+    prod = J.diagonal(1).real * J.diagonal(-1).real
+    if not (np.isfinite(d).all() and np.isfinite(prod).all()):
+        return np.linalg.eigvals(J)
+    root = np.sqrt(np.abs(prod))
     S = np.diag(d)
-    np.fill_diagonal(S[1:], np.sqrt(prod))   # eigvalsh reads the lower triangle
-    return np.linalg.eigvalsh(S).astype(complex)
+    np.fill_diagonal(S[1:], np.copysign(root, prod))   # eigvalsh reads the lower triangle
+    if (prod > 0).all():
+        return np.linalg.eigvalsh(S).astype(complex)
+    np.fill_diagonal(S[:, 1:], root)
+    return np.linalg.eigvals(S).astype(complex)
 
 
 def polynomial_eigenvalues(p: ParamTuple, q: int, variant: str = "corrected") -> np.ndarray:
@@ -370,7 +380,9 @@ def darboux_function_eigenvalues(
     the fraction at `depth` to `tol`.  Where J_n is real and every product
     M_m K_{m+1} is positive, they come from the real symmetric tridiagonal
     that a diagonal similarity makes of J_n (``eigvalsh``, condition number
-    1); otherwise from the dense ``eigvals``.  n doubles from 32 until every
+    1); where J_n is real with some product <= 0, from the real ``eigvals``
+    of its sign-symmetric form; for a complex J_n, from the dense complex
+    ``eigvals``.  n doubles from 32 until every
     candidate polishes onto a root near itself and two successive sets
     agree, at most to depth+1, where the eigenvalues are exactly the zeros
     at `depth`.  A tuple that terminates at q (K_{q+1} = 0) stops at order

@@ -395,6 +395,23 @@ class TestTridiagonalEigvals:
         assert got.dtype == complex and not got.imag.any()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("n", [2, 7, 32, 64])
+    @pytest.mark.parametrize("exps, k", [
+        ((-0.3, -0.3, -0.3, 3.2), 0.6),
+        ((-0.4, -0.2, -0.35, 2.5), 0.85),
+    ])
+    def test_real_path_with_negative_product_matches_dense_eigvals(self, monkeypatch, exps, k, n):
+        J = series._truncation_matrix(P(*exps, k=k), n, "corrected")
+        assert (np.diagonal(J, 1) * np.diagonal(J, -1)).real[0] < 0
+        solve, solved = np.linalg.eigvals, []
+        want = solve(J)
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a.dtype) or solve(a))
+        got = series._tridiagonal_eigvals(J)
+        assert solved == [np.dtype(float)]        # the real solve, not the complex one
+        got, want = (e[np.lexsort((e.imag, e.real))] for e in (got, want))
+        assert got.dtype == complex
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(
         k=st.floats(0.2, 0.95),
