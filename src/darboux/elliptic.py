@@ -17,6 +17,7 @@ quadrature value of the defining integral on the test set).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,104 +88,94 @@ def complete_elliptic(k: complex) -> tuple[complex, complex]:
     return K, Kp
 
 
-def _theta_all(z: complex, q: complex) -> tuple[complex, complex, complex, complex]:
-    """theta_1..theta_4 at z with nome q, truncated q-series.
-
-    Terms are added until two consecutive ones fall below 1e-17 of the
-    partial sum (|q| < 1 makes the decay super-geometric); hard cap 256.
-    A far-off z whose sin/cos terms overflow raises NonConvergence.
-    """
+def _theta_terms(q: complex, im: float) -> int:
+    """The largest merged index j the theta series sum at nome q for points
+    with |Im z| <= im (odd j = 2n+1 for theta_1/theta_2, even j = 2n for
+    theta_3/theta_4).  A term has size about |q|^(j^2/4) e^(j im), a
+    parabola a j^2 + im j in the log with a = log|q| / 4; the sum stops at
+    the first index past the peak whose term is below 1e-17 of the peak
+    term (DLMF 20.2).  The parabola's peak is at top = im / (2|a|) and it
+    falls 1e-17 below it at x; ceil(x) + 1 is that index or one more, and
+    one test of the index below settles which.  More than 2 * 256 terms
+    raise NonConvergence."""
     if abs(q) >= 1:
         raise NomeOutOfDisc(f"|q| = {abs(q)} >= 1")
-    z = complex(z)
-    try:
-        return _theta_series(z, q)
-    except OverflowError as exc:
-        raise NonConvergence(f"theta series overflowed at z = {z}") from exc
+    if q == 0:
+        return 1
+    a, tol = math.log(abs(q)) / 4, math.log(_THETA_TOL)
+    top = im / (-2 * a)
+    x = top + math.sqrt(tol / a)
+    if x <= 2 * _THETA_CAP:   # False for a NaN or infinite im
+        last, peak = math.ceil(x) + 1, max(1, math.ceil(top - 0.5))
+        if (last - 1) ** 2 * a + (last - 1) * im < peak * peak * a + peak * im + tol:
+            last -= 1
+        if last <= 2 * _THETA_CAP:
+            return last
+    raise NonConvergence(f"theta series need more than {2 * _THETA_CAP} terms at |Im z| = {im:.6g}")
 
 
-def _theta_series(z: complex, q: complex) -> tuple[complex, complex, complex, complex]:
-    q4 = q**0.25
-    t1 = 0j
-    t2 = 0j
-    qq = 1.0 + 0j  # q^{n(n+1)}
-    small = 0
-    for n in range(_THETA_CAP):
+@lru_cache(maxsize=256)
+def _theta_weights(q: complex, last: int) -> tuple[list, list]:
+    """The q-power weights up to the merged index `last`: q^{n(n+1)} for
+    n = 0 .. (last-1)//2 and q^{n^2} for n = 1 .. last//2."""
+    qq, qn, w12, w34 = 1.0 + 0j, 1.0 + 0j, [], []
+    for n in range((last + 1) // 2):
         if n > 0:
             qq *= q ** (2 * n)
-        s = cmath.sin((2 * n + 1) * z)
-        c = cmath.cos((2 * n + 1) * z)
-        sgn = -1 if n % 2 else 1
-        a1 = sgn * qq * s
-        a2 = qq * c
-        t1 += a1
-        t2 += a2
-        ref = max(abs(t1), abs(t2), 1e-300)
-        small = small + 1 if max(abs(a1), abs(a2)) < _THETA_TOL * ref else 0
-        if small >= 2:
-            break
-    else:
-        raise NonConvergence("theta_1/theta_2 series did not settle in 256 terms")
-    t1 *= 2 * q4
-    t2 *= 2 * q4
-
-    t3 = 1.0 + 0j
-    t4 = 1.0 + 0j
-    qn = 1.0 + 0j  # q^{n^2}
-    small = 0
-    for n in range(1, _THETA_CAP):
+        w12.append(qq)
+    for n in range(1, last // 2 + 1):
         qn *= q ** (2 * n - 1)
-        c = cmath.cos(2 * n * z)
-        sgn = -1 if n % 2 else 1
-        a3 = 2 * qn * c
-        t3 += a3
-        t4 += sgn * a3
-        small = small + 1 if abs(a3) < _THETA_TOL * max(abs(t3), 1e-300) else 0
-        if small >= 2:
-            break
-    else:
-        raise NonConvergence("theta_3/theta_4 series did not settle in 256 terms")
-    return t1, t2, t3, t4
+        w34.append(qn)
+    return w12, w34
+
+
+@lru_cache(maxsize=64)
+def _theta_rows(q: complex, last: int) -> tuple[np.ndarray, ...]:
+    """``_theta_weights`` as read-only arrays for the batched sums: w12, its
+    alternating-sign copy, 2 w34 and its alternating-sign copy."""
+    w12, w34 = _theta_weights(q, last)
+    w12, w34 = np.array(w12), 2 * np.array(w34)
+    rows = (w12, np.where(np.arange(len(w12)) % 2, -1.0, 1.0) * w12,
+            w34, np.where(np.arange(1, len(w34) + 1) % 2, -1.0, 1.0) * w34)
+    for r in rows:
+        r.flags.writeable = False
+    return rows
+
+
+def _theta_all(z: complex, q: complex) -> tuple[complex, complex, complex, complex]:
+    """theta_1..theta_4 at a scalar z with nome q: the q-series summed term
+    by term to ``_theta_terms``.  A far-off z whose sin/cos terms overflow
+    raises NonConvergence."""
+    z = complex(z)
+    w12, w34 = _theta_weights(q, _theta_terms(q, abs(z.imag)))
+    t1, t2, t3, t4 = 0j, 0j, 1.0 + 0j, 1.0 + 0j
+    try:
+        for n, qq in enumerate(w12):
+            t1 += (-1 if n % 2 else 1) * qq * cmath.sin((2 * n + 1) * z)
+            t2 += qq * cmath.cos((2 * n + 1) * z)
+        for n, qn in enumerate(w34, 1):
+            a3 = 2 * qn * cmath.cos(2 * n * z)
+            t3 += a3
+            t4 += (-1 if n % 2 else 1) * a3
+    except OverflowError as exc:
+        raise NonConvergence(f"theta series overflowed at z = {z}") from exc
+    q4 = q**0.25
+    return t1 * (2 * q4), t2 * (2 * q4), t3, t4
 
 
 def _theta_array(z: np.ndarray, q: complex) -> tuple[np.ndarray, ...]:
     """theta_1..theta_4 at a 1-D array z: each series is one (terms x points)
-    product of q-power weights with np.sin / np.cos of (2n+1) z and 2n z.
-
-    The term count is fixed for the batch from |q| and max |Im z|: in the
-    merged index j (odd j = 2n+1 for theta_1/theta_2, even j = 2n for
-    theta_3/theta_4) a term has size about |q|^(j^2/4) e^(j |Im z|), and
-    the series stop past their largest term, once that size falls below
-    1e-17 of it.  The weights are built exactly as in ``_theta_series``.
-    """
-    if abs(q) >= 1:
-        raise NomeOutOfDisc(f"|q| = {abs(q)} >= 1")
-    j = np.arange(1, 2 * _THETA_CAP + 1)
-    size = j * j * (np.log(abs(q)) / 4) + j * float(np.max(np.abs(z.imag), initial=0.0))
-    peak = int(np.argmax(size))
-    past = np.flatnonzero(size[peak:] < size[peak] + np.log(_THETA_TOL))
-    if past.size == 0:
-        raise NonConvergence(f"theta series need more than {_THETA_CAP} terms")
-    last = peak + int(past[0]) + 1           # the largest j summed
-    qq, qn, w12, w34 = 1.0 + 0j, 1.0 + 0j, [], []
-    for n in range((last + 1) // 2):         # q^{n(n+1)}, n = 0 .. (last-1)//2
-        if n > 0:
-            qq *= q ** (2 * n)
-        w12.append(qq)
-    for n in range(1, last // 2 + 1):        # q^{n^2}, n = 1 .. last//2
-        qn *= q ** (2 * n - 1)
-        w34.append(qn)
-    w12, w34 = np.array(w12), 2 * np.array(w34)
-    sgn12 = np.where(np.arange(len(w12)) % 2, -1.0, 1.0)
-    sgn34 = np.where(np.arange(1, len(w34) + 1) % 2, -1.0, 1.0)
+    product of the ``_theta_rows`` weights with np.sin / np.cos of (2n+1) z
+    and 2n z, to the ``_theta_terms`` count of max |Im z|."""
+    w12, sw12, w34, sw34 = _theta_rows(q, _theta_terms(q, float(np.max(np.abs(z.imag), initial=0.0))))
     odd = np.outer(np.arange(1, 2 * len(w12), 2), z)
     q4 = 2 * q**0.25
     with np.errstate(over="ignore", invalid="ignore"):
         even = np.cos(np.outer(np.arange(2, 2 * len(w34) + 1, 2), z))
-        t1 = q4 * ((sgn12 * w12)[:, None] * np.sin(odd)).sum(axis=0)
+        t1 = q4 * (sw12[:, None] * np.sin(odd)).sum(axis=0)
         t2 = q4 * (w12[:, None] * np.cos(odd)).sum(axis=0)
         t3 = 1 + (w34[:, None] * even).sum(axis=0)
-        t4 = 1 + ((sgn34 * w34)[:, None] * even).sum(axis=0)
+        t4 = 1 + (sw34[:, None] * even).sum(axis=0)
     if not all(np.isfinite(t).all() for t in (t1, t2, t3, t4)):
         raise NonConvergence(f"theta series overflowed at |Im z| up to {np.max(np.abs(z.imag)):.6g}")
     return t1, t2, t3, t4
@@ -284,6 +275,14 @@ def pole_distance(code: str, u: complex, k: complex) -> float:
     return _lattice_remainder(complex(u) - off, 2 * md.K, 2j * md.Kp)
 
 
+def _refuse_zero(what: str, *dens) -> None:
+    """PoleProximity if any of the denominators `dens` (scalars or arrays)
+    vanishes at any point."""
+    # a scalar keeps the plain test: np.any on it costs more than the quotient
+    if any((d == 0).any() if isinstance(d, np.ndarray) else d == 0 for d in dens):
+        raise PoleProximity(f"{what} is evaluated at a pole: its denominator vanishes")
+
+
 def _glyph(code: str, sn, cn, dn):
     """The glyph p/q from (sn, cn, dn) scalars or arrays; letters s, c, d, n
     stand for sn, cn, dn, 1.  PoleProximity if q vanishes at any point."""
@@ -291,11 +290,8 @@ def _glyph(code: str, sn, cn, dn):
     p, q = _LETTERS.index(code[0]), _LETTERS.index(code[1])
     if q == 3:
         return vals[p]
-    den = vals[q]
-    # a scalar keeps the plain test: np.any on it costs more than the quotient
-    if (den == 0).any() if isinstance(den, np.ndarray) else den == 0:
-        raise PoleProximity(f"{code} is evaluated at a pole: its denominator vanishes")
-    return vals[p] / den
+    _refuse_zero(code, vals[q])
+    return vals[p] / vals[q]
 
 
 def jacobi_sn_cn_dn(u, k: complex):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .elliptic import jacobi_sn_cn_dn
+from .elliptic import _refuse_zero, jacobi_sn_cn_dn
 from .series import dl_eval
 from .symmetry import ParamTuple, TransformRow, gii_by_name
 
@@ -66,6 +66,7 @@ def landen_potential_identity(u: complex, k: complex) -> tuple[float, float]:
 
     with w = (1+k')u, kappa* = (1-k')/(1+k').  (The second identity is the
     corrected form; the published version carries a spurious kappa*^2.)
+    PoleProximity where a denominator sn, cn or dn vanishes.
     """
     k = complex(k)
     kp = cmath.sqrt(1 - k * k)
@@ -73,6 +74,7 @@ def landen_potential_identity(u: complex, k: complex) -> tuple[float, float]:
     w = (1 + kp) * complex(u)
     snw = jacobi_sn_cn_dn(w, ks)[0]
     sn, cn, dn = jacobi_sn_cn_dn(u, k)
+    _refuse_zero("the Landen identity", snw, sn, cn, dn)
     lhs1 = (1 + kp) ** 2 * ks**2 * snw**2 + k * k
     rhs1 = k * k * sn**2 + k * k * (cn / dn) ** 2
     lhs2 = (1 + kp) ** 2 / snw**2 + k * k
@@ -108,10 +110,12 @@ def landen_pair(
 
 
 def duplication_potential_identity(u: complex, k: complex) -> float:
-    """Residual of ns^2 + dc^2 + k^2 cd^2 + k^2 sn^2 = 4 ns^2(2u, k)."""
+    """Residual of ns^2 + dc^2 + k^2 cd^2 + k^2 sn^2 = 4 ns^2(2u, k).
+    PoleProximity where a denominator sn, cn or dn vanishes."""
     k = complex(k)
     sn, cn, dn = jacobi_sn_cn_dn(u, k)
     sn2 = jacobi_sn_cn_dn(2 * complex(u), k)[0]
+    _refuse_zero("the duplication identity", sn, cn, dn, sn2)
     lhs = 1 / sn**2 + (dn / cn) ** 2 + k * k * (cn / dn) ** 2 + k * k * sn**2
     return abs(lhs - 4 / sn2**2)
 

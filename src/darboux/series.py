@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import jacobi_sn_cn_dn
+from .elliptic import _refuse_zero, jacobi_sn_cn_dn
 from .errors import (
     CoefficientOverflow,
     DegenerateRecursion,
@@ -61,6 +61,7 @@ _INT_TOL = 1e-9          # tolerance for integer matching in termination tests
 _LOG_TOL = 1e-12         # tolerance for the logarithmic-exponent guard
 _RESCALE_LIMIT = 2.0**512
 _RESCALE_SHIFT = 512
+_ROOT_TOL = 1e-8         # |g(h)| below which h is a root of the continued fraction
 
 
 @dataclass(frozen=True)
@@ -106,19 +107,26 @@ def _weights(xi, eta, mu, nu, k, variant: str, n: int):
     fraction share one build; h is not in the key, the type of each
     parameter is (0, 0.0 and 0j give int, float and complex tables).  A
     build holds at most 64 n bytes: 16 builds of n <= 1024 (depth 800) stay
-    within 1 MB."""
+    within 1 MB.  Tables beyond the float range raise CoefficientOverflow."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if not all(cmath.isfinite(g) for g in (xi, eta, mu, nu)):
         raise NonFiniteExponent(f"exponents {(xi, eta, mu, nu)} are not all finite")
     _check_log_case(xi)
     k2 = k * k
-    c = (k2 + 1) * (xi + 1) ** 2 if variant == "paper" else 0.0
     m2 = np.arange(0, 2 * n, 2)
-    M = _mul(m2 + 2, m2 + 2 * xi + 3)
-    A = _square(m2 + (eta + xi + 2))
-    B = _mul(k2, _square(m2 + (mu + xi + 2)))
-    K = _mul(_mul(k2, m2 + (xi + eta + mu + nu + 2)), m2 + (xi + eta + mu - nu + 1))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = _mul(m2 + 2, m2 + 2 * xi + 3)
+            A = _square(m2 + (eta + xi + 2))
+            B = _mul(k2, _square(m2 + (mu + xi + 2)))
+            K = _mul(_mul(k2, m2 + (xi + eta + mu + nu + 2)), m2 + (xi + eta + mu - nu + 1))
+        c = (k2 + 1) * (xi + 1) ** 2 if variant == "paper" else 0.0
+        finite = cmath.isfinite(c) and all(np.isfinite(t).all() for t in (M, A, B, K))
+    except OverflowError:   # a Python power or int beyond the float range
+        finite = False
+    if not finite:
+        raise CoefficientOverflow(f"recursion tables overflow for exponents {(xi, eta, mu, nu)} and k = {k}")
     for t in (M, A, B, K):
         t.flags.writeable = False
     return M, A, B, K, c
@@ -215,7 +223,7 @@ def dl_coefficients(
     if mode not in ("auto", "forward", "minimal"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
-        near_root = termination_check(p) is None and abs(_cf_raw(p.h, p, max(2 * N, 200), variant)) < 1e-8
+        near_root = termination_check(p) is None and _is_cf_root(p.h, p, _root_depth(N), variant)
         mode = "minimal" if near_root else "forward"
     if mode == "minimal":
         try:
@@ -350,6 +358,16 @@ def _cf_raw(h: complex, p: ParamTuple, depth: int, variant: str) -> complex:
     return L[0] / M[0] - tail
 
 
+def _is_cf_root(h: complex, p: ParamTuple, depth: int, variant: str) -> bool:
+    """Whether the continued fraction at `depth` vanishes at h, to _ROOT_TOL."""
+    return abs(_cf_raw(h, p, depth, variant)) < _ROOT_TOL
+
+
+def _root_depth(N: int) -> int:
+    """The fraction depth that decides whether an N-term series sits on a root."""
+    return max(2 * N, 200)
+
+
 def infinite_cf(h: complex, p: ParamTuple, depth: int = 400, variant: str = "corrected") -> CFValue:
     """g(h) = L0/M0 - (K1/M1)/(L1/M1 - (K2/M2)/(L2/M2 - ...)), depth levels.
 
@@ -435,7 +453,7 @@ def _matrix_roots(p, n, box, depth, variant, tol) -> tuple[list[complex], bool]:
         if (
             rl <= r.real <= rh
             and il <= r.imag <= ih
-            and abs(_cf_raw(r, p, depth, variant)) < 1e-8
+            and _is_cf_root(r, p, depth, variant)
             and not np.isclose(r, roots, rtol=1e-8, atol=1e-8).any()
         ):
             roots.append(r)
@@ -473,8 +491,7 @@ def convergence_domain(p: ParamTuple, h: complex, depth: int = 400, variant: str
         eigs = polynomial_eigenvalues(pz, q, variant)
         if any(abs(h - e) < 1e-8 * max(1.0, abs(e)) for e in eigs):
             return math.inf
-    g = _cf_raw(h, pz, depth, variant)
-    if abs(g) < 1e-8:
+    if _is_cf_root(h, pz, depth, variant):
         return max(1.0, 1.0 / ak)
     return min(1.0, 1.0 / ak)
 
@@ -599,8 +616,7 @@ def dl_eval(
     outside = asn >= min(1.0, 1.0 / abs(p.k))
     if coeffs.terminated_at is None and outside.any():
         # the larger domain applies only on the vanishing-CF locus
-        g = _cf_raw(p.h, p, depth=max(2 * len(coeffs), 200), variant=variant)
-        if abs(g) < 1e-8:
+        if _is_cf_root(p.h, p, _root_depth(len(coeffs) - 1), variant):
             outside = asn >= max(1.0, 1.0 / abs(p.k))
         if outside.any():
             i = int(np.argmax(outside))
@@ -637,10 +653,12 @@ def dl_eval(
 def darboux_potential(u, p: ParamTuple):
     """The equation's potential V(u): the solution satisfies y'' + (h - V) y = 0.
 
-    Elementwise for a numpy array of u."""
+    Elementwise for a numpy array of u.  PoleProximity where sn, cn or dn
+    vanishes: there u is one of the equation's singular points."""
     xi, eta, mu, nu = p.exponents
     k2 = p.k * p.k
     sn, cn, dn = jacobi_sn_cn_dn(u, p.k)
+    _refuse_zero("the potential", sn, cn, dn)
     return (
         xi * (xi + 1) / (sn * sn)
         + eta * (eta + 1) * (dn / cn) ** 2

@@ -306,3 +306,21 @@ def test_backward_overflow_is_refused(h, message):
     else:
         with pytest.raises(CoefficientOverflow, match=f"^{message}$"):
             dl_coefficients(p, 200, mode="minimal")
+
+
+@pytest.mark.parametrize("exps, k, variant", [
+    *(((1e200, 0.2, 0.3, 1.5), 0.6, v) for v in VARIANTS),
+    ((1e200, -1e200, -1e200, 1e200), 0.6, "paper"),   # finite tables, an overflowing paper constant
+    *(((10**200, 0, 0, 0), 0.6, v) for v in VARIANTS),  # an int beyond the float range
+    ((0.1, 0.2, 0.3, 1.5), 1e200, "corrected"),
+    ((0.1, 0.2, 0.3, 1.5), 1e200j, "paper"),
+])
+def test_overflowing_tables_are_refused(exps, k, variant):
+    # never a silent NaN fraction, a numpy LinAlgError or a RuntimeWarning
+    p = ParamTuple(*exps, 5.0, k=k)
+    with pytest.raises(CoefficientOverflow, match="^recursion tables overflow"):
+        infinite_cf(5.0, p, variant=variant)
+    with pytest.raises(CoefficientOverflow):
+        series.darboux_function_eigenvalues(p, (0, 12), variant=variant)
+    with pytest.raises(CoefficientOverflow):
+        dl_coefficients(p, 200, variant=variant)

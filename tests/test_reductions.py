@@ -13,6 +13,7 @@ from darboux.reductions import (
     landen_pair,
     landen_potential_identity,
 )
+from darboux.errors import PoleProximity
 from darboux.series import ParamTuple, polynomial_eigenvalues, termination_check
 from darboux.symmetry import gii_compose, sigma_and_h
 
@@ -99,6 +100,10 @@ class TestLandenIdentities:
                 assert e_sn < 1e-12
                 assert e_ns < 1e-12
 
+    def test_zero_denominator_is_a_typed_pole(self):
+        with pytest.raises(PoleProximity):
+            landen_potential_identity(0.0, 0.6)
+
     def test_dl_level_generic(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -127,6 +132,10 @@ class TestDuplication:
         for u in (0.37 + 0.21j, 0.52, 0.3 - 0.14j):
             for k in (0.3, 0.6, 0.9):
                 assert duplication_potential_identity(u, k) < 1e-12
+
+    def test_zero_denominator_is_a_typed_pole(self):
+        with pytest.raises(PoleProximity):
+            duplication_potential_identity(0.0, 0.6)
 
     def test_dl_level(self):
         rng = np.random.default_rng(3)

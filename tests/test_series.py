@@ -18,6 +18,7 @@ from darboux.errors import (
     LogarithmicCase,
     ModulusOnUnitCircle,
     OutsideConvergence,
+    PoleProximity,
 )
 from darboux.series import (
     ParamTuple,
@@ -207,6 +208,13 @@ class TestDlEval:
             d2 = second_derivative(f, u, 4e-3)
             res = d2 + (p.h - darboux_potential(u, p)) * f(u)
             assert abs(res) / max(1, abs(d2)) < 1e-8
+
+
+class TestPotential:
+    @pytest.mark.parametrize("u", [0.0, np.array([0.3, 0.0]), np.array([[0.2], [0.0]])])
+    def test_zero_of_sn_is_a_typed_pole(self, u):
+        with pytest.raises(PoleProximity):
+            darboux_potential(u, P(0.1, 0.2, 0.3, 1.5, h=5.0))
 
 
 class TestContinuedFraction:

@@ -176,7 +176,7 @@ class TestHarness:
         prof = cProfile.Profile()
         prof.runcall(identity_harness)
         calls = {name: n for (_, _, name), (_, n, *_) in pstats.Stats(prof).stats.items()}
-        assert calls["_theta_series"] <= 100 and calls["_agm"] <= 100
+        assert calls["_theta_all"] <= 100 and calls["_agm"] <= 100
         assert calls["jacobi_sn_cn_dn"] <= 150
         assert calls["darboux_potential"] <= 75
         assert calls["_glyph"] <= 12
