@@ -160,16 +160,7 @@ def cmd_eval(args, cfg: RunConfig, out: _Emitter) -> int:
 def cmd_eigen(args, cfg: RunConfig, out: _Emitter) -> int:
     p = _param_tuple(args, need_h=False)
     if args.mode == "polynomial":
-        # exact-rational termination check when the inputs allow it
-        vals = [_parse_number(getattr(args, n)) for n in ("xi", "eta", "mu", "nu")]
-        if all(isinstance(v, Fraction) for v in vals):
-            q = None
-            for total, off in ((sum(vals), -4), (vals[0] + vals[1] + vals[2] - vals[3], -3)):
-                qc = Fraction(off) - total
-                if qc % 2 == 0 and qc // 2 >= 0:
-                    q = int(qc // 2) if q is None else min(q, int(qc // 2))
-        else:
-            q = termination_check(p)
+        q = termination_check(p)
         if q is None:
             print("polynomial mode requires a terminating parameter tuple", file=sys.stderr)
             return EXIT_MODE

@@ -298,15 +298,21 @@ def jacobi_sn_cn_dn(u, k: complex):
     """(sn, cn, dn)(u, k) via theta quotients; no pole guard applied.
 
     A scalar u gives three complex numbers.  A numpy array of u gives three
-    complex arrays of its shape, from one batched theta sum.
+    complex arrays of its shape, from one batched theta sum.  A non-finite
+    u raises NonConvergence.
     """
     md = ModulusData.from_modulus(complex(k))
     if isinstance(u, np.ndarray) and u.ndim:
-        v = cmath.pi * u.astype(complex).ravel() / (2 * md.K)
-        t1, t2, t3, t4 = (t.reshape(u.shape) for t in _theta_array(v, md.q))
+        w = u.astype(complex).ravel()
+        bad = ~np.isfinite(w)
+        if bad.any():
+            raise NonConvergence(f"argument u = {w[bad.argmax()]} is not finite")
+        t1, t2, t3, t4 = (t.reshape(u.shape) for t in _theta_array(cmath.pi * w / (2 * md.K), md.q))
     else:
-        v = cmath.pi * complex(u) / (2 * md.K)
-        t1, t2, t3, t4 = _theta_all(v, md.q)
+        w = complex(u)
+        if not cmath.isfinite(w):
+            raise NonConvergence(f"argument u = {w} is not finite")
+        t1, t2, t3, t4 = _theta_all(cmath.pi * w / (2 * md.K), md.q)
     z1, z2, z3, z4 = md.theta_zero
     sn = (z3 / z2) * (t1 / t4)
     cn = (z4 / z2) * (t2 / t4)

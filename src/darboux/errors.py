@@ -14,7 +14,8 @@ class DegenerateModulus(DarbouxError):
 
 
 class NonConvergence(DarbouxError):
-    """An iteration (AGM, theta series) failed to contract within its cap."""
+    """An iteration (AGM, theta series) failed to contract within its cap,
+    or was given a non-finite argument."""
 
 
 class PoleProximity(DarbouxError):
@@ -39,8 +40,8 @@ class LogarithmicCase(DarbouxError):
 
 
 class NonFiniteExponent(DarbouxError):
-    """An exponent parameter is infinite or NaN: the recursion weights are
-    undefined."""
+    """An exponent or the accessory parameter h is infinite or NaN: the
+    recursion weights are undefined."""
 
 
 class CoefficientOverflow(DarbouxError):

@@ -27,7 +27,10 @@ series converge for |sn u| < min(1, |k|^-1) generically, and on the larger
 domain |sn u| < max(1, |k|^-1) exactly when the infinite continued
 fraction built from the recursion vanishes (Darboux functions); then the
 coefficient ratio C_{m+1}/C_m tends to the minimal root of
-t^2 - (1+k^2) t + k^2 instead of the dominant one (Poincare/Perron).
+t^2 - (1+k^2) t + k^2 instead of the dominant one (Poincare/Perron).  The
+coefficients are then the recursion's minimal solution, the products of
+the fraction's tails (Pincherle), from the same backward pass that finds
+the root.
 """
 
 from __future__ import annotations
@@ -107,7 +110,9 @@ def _weights(xi, eta, mu, nu, k, variant: str, n: int):
     fraction share one build; h is not in the key, the type of each
     parameter is (0, 0.0 and 0j give int, float and complex tables).  A
     build holds at most 64 n bytes: 16 builds of n <= 1024 (depth 800) stay
-    within 1 MB.  Tables beyond the float range raise CoefficientOverflow."""
+    within 1 MB.  Int tables that could pass int64 are built in float (each
+    entry, and c, is at most 2 b^2 max(1, |k^2|), with b bounding every linear
+    factor); tables beyond the float range raise CoefficientOverflow."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if not all(cmath.isfinite(g) for g in (xi, eta, mu, nu)):
@@ -115,6 +120,9 @@ def _weights(xi, eta, mu, nu, k, variant: str, n: int):
     _check_log_case(xi)
     k2 = k * k
     m2 = np.arange(0, 2 * n, 2)
+    b = 2 * n + 3 + 2 * sum(abs(g) for g in (xi, eta, mu, nu))
+    if 2 * b * b * max(1, abs(k2)) >= 2**63:
+        m2 = m2.astype(float)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             M = _mul(m2 + 2, m2 + 2 * xi + 3)
@@ -140,6 +148,8 @@ def _tables(p: ParamTuple, variant: str, n: int):
 def _recursion_lists(p: ParamTuple, h: complex, variant: str, n: int) -> tuple[list, list, list]:
     """Lists L, M, K of the recursion at accessory parameter h for m = 0..n-1."""
     M, A, B, K, c = _tables(p, variant, n)
+    if not cmath.isfinite(h):
+        raise NonFiniteExponent(f"accessory parameter h = {h} is not finite")
     return (h - A[:n] - B[:n] + c).tolist(), M[:n].tolist(), K[:n].tolist()
 
 
@@ -210,27 +220,37 @@ def dl_coefficients(
     ``"forward"``
         Plain forward recursion (the defining construction).
     ``"minimal"``
-        Backward (tail-to-head) recursion, which selects the minimal
-        solution; this is the numerically faithful construction when h is
-        a root of the infinite continued fraction, where the forward pass
-        would be contaminated by the dominant solution after ~16/|log10 k^2|
-        steps.  Falls back to forward when the parameters terminate (some
-        K_m = 0 blocks the backward division).
+        The minimal solution, C_m = -t_m C_{m-1} with t_m the tails of one
+        backward pass of the continued fraction at depth max(2N, 200)
+        (Pincherle: the tails are the minimal solution's ratios).  This is
+        the numerically faithful construction when h is a root of the
+        infinite continued fraction, where the forward pass would be
+        contaminated by the dominant solution after ~16/|log10 k^2| steps.
+        A tuple that ``termination_check`` finds terminating goes to the
+        forward pass.  Raises ZeroPivot if a partial denominator vanishes.
     ``"auto"``
-        ``minimal`` when h sits within 1e-8 of a continued-fraction root
-        and the tuple does not terminate; ``forward`` otherwise.
+        ``minimal`` when the tuple does not terminate and h sits within
+        1e-8 of a root of that same fraction; ``forward`` otherwise.
     """
     if mode not in ("auto", "forward", "minimal"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        near_root = termination_check(p) is None and _is_cf_root(p.h, p, _root_depth(N), variant)
-        mode = "minimal" if near_root else "forward"
-    if mode == "minimal":
-        try:
-            return _coefficients_backward(p, N, variant)
-        except ZeroDivisionError:
-            mode = "forward"
+    if mode != "forward" and termination_check(p) is None:
+        g, tails = _cf_pass(p.h, p, _root_depth(N), variant)
+        if mode == "minimal" or abs(g) < _ROOT_TOL:
+            vals = [1.0 + 0j]
+            for t in tails[1 : N + 1]:
+                vals.append(-t * vals[-1])
+            return SeriesCoefficients(values=_finite(vals), exps=np.zeros(N + 1, dtype=np.int64),
+                                      variant=variant, mode="minimal", terminated_at=None)
     return _coefficients_forward(p, N, variant)
+
+
+def _finite(vals: list) -> np.ndarray:
+    """The coefficients as a complex array; CoefficientOverflow names the first non-finite one."""
+    values = np.array(vals, dtype=complex)
+    if not np.isfinite(values).all():
+        raise CoefficientOverflow(f"coefficient C_{np.argmin(np.isfinite(values))} overflowed")
+    return values
 
 
 def _coefficients_forward(p: ParamTuple, N: int, variant: str) -> SeriesCoefficients:
@@ -245,9 +265,7 @@ def _coefficients_forward(p: ParamTuple, N: int, variant: str) -> SeriesCoeffici
             e += _RESCALE_SHIFT
         vals.append(cur)
         es.append(e)
-    values, exps = np.array(vals, dtype=complex), np.array(es, dtype=np.int64)
-    if not np.isfinite(values).all():
-        raise CoefficientOverflow(f"coefficient C_{np.argmin(np.isfinite(values))} overflowed")
+    values, exps = _finite(vals), np.array(es, dtype=np.int64)
     term = _detect_termination(p, values, exps)
     return SeriesCoefficients(values=values, exps=exps, variant=variant, mode="forward", terminated_at=term)
 
@@ -262,30 +280,6 @@ def _detect_termination(p: ParamTuple, values: np.ndarray, exps: np.ndarray) -> 
         values[q + 1:], exps[q + 1:] = 0.0, 0
         return q
     return None
-
-
-def _coefficients_backward(p: ParamTuple, N: int, variant: str, buffer: int = 60) -> SeriesCoefficients:
-    top = N + buffer
-    vals = np.zeros(top + 2, dtype=complex)
-    vals[top] = 1.0
-    L, M, K = _recursion_lists(p, p.h, variant, top + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(top, 0, -1):
-            if K[m] == 0:
-                raise ZeroDivisionError
-            vals[m - 1] = -(M[m] * vals[m + 1] + L[m] * vals[m]) / K[m]
-            if abs(vals[m - 1]) > _RESCALE_LIMIT:
-                vals *= 2.0**-_RESCALE_SHIFT
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:   # the pass runs from the top: the highest index overflowed first
-            raise CoefficientOverflow(f"coefficient C_{bad.max()} overflowed in the backward pass")
-        if vals[0] == 0:
-            raise DegenerateRecursion("backward recursion produced C_0 = 0")
-        values = vals[: N + 1] / vals[0]
-    if not np.isfinite(values).all():
-        raise CoefficientOverflow(f"coefficient C_{np.argmin(np.isfinite(values))} overflowed")
-    return SeriesCoefficients(values=values, exps=np.zeros(N + 1, dtype=np.int64),
-                              variant=variant, mode="minimal", terminated_at=None)
 
 
 def _truncation_matrix(p: ParamTuple, n: int, variant: str) -> np.ndarray:
@@ -333,7 +327,7 @@ def polynomial_eigenvalues(p: ParamTuple, q: int, variant: str = "corrected") ->
     qt = termination_check(p)
     if qt is None or qt != q:
         raise DegenerateRecursion(f"termination relation does not hold with q = {q} (got {qt})")
-    eig = np.linalg.eigvals(_truncation_matrix(p, q + 1, variant))
+    eig = _tridiagonal_eigvals(_truncation_matrix(p, q + 1, variant))
     return eig[np.argsort(eig.real + 1e-9 * eig.imag)]
 
 
@@ -346,16 +340,24 @@ class CFValue:
     change_from_half_depth: float
 
 
-def _cf_raw(h: complex, p: ParamTuple, depth: int, variant: str) -> complex:
-    """One backward pass of the continued fraction over the cached tables."""
+def _cf_pass(h: complex, p: ParamTuple, depth: int, variant: str) -> tuple[complex, list]:
+    """One backward pass of the continued fraction over the cached tables: its
+    value and its tails t_j = (K_j/M_j)/(L_j/M_j - t_{j+1}) = -C_j/C_{j-1} of
+    the minimal solution, in tails[1..depth]."""
     L, M, K = _recursion_lists(p, h, variant, depth + 1)
+    tails = [0j] * (depth + 1)
     tail = 0j
     for j in range(depth, 0, -1):
         denom = L[j] / M[j] - tail
         if denom == 0:
             raise ZeroPivot(f"vanishing partial denominator at level {j}")
-        tail = (K[j] / M[j]) / denom
-    return L[0] / M[0] - tail
+        tails[j] = tail = (K[j] / M[j]) / denom
+    return L[0] / M[0] - tail, tails
+
+
+def _cf_raw(h: complex, p: ParamTuple, depth: int, variant: str) -> complex:
+    """The value of the continued fraction at `depth`."""
+    return _cf_pass(h, p, depth, variant)[0]
 
 
 def _is_cf_root(h: complex, p: ParamTuple, depth: int, variant: str) -> bool:
@@ -394,16 +396,11 @@ def darboux_function_eigenvalues(
     `region` is a complex box ((re_lo, re_hi), (im_lo, im_hi)) or a real
     interval (lo, hi), the box of zero height; a lower bound above its
     upper bound (or a NaN bound) raises ValueError.  Candidates are the
-    eigenvalues of the truncation matrix J_n (Ince's method), polished on
-    the fraction at `depth` to `tol`.  Where J_n is real and every product
-    M_m K_{m+1} is positive, they come from the real symmetric tridiagonal
-    that a diagonal similarity makes of J_n (``eigvalsh``, condition number
-    1); where J_n is real with some product <= 0, from the real ``eigvals``
-    of its sign-symmetric form; for a complex J_n, from the dense complex
-    ``eigvals``.  n doubles from 32 until every
-    candidate polishes onto a root near itself and two successive sets
-    agree, at most to depth+1, where the eigenvalues are exactly the zeros
-    at `depth`.  A tuple that terminates at q (K_{q+1} = 0) stops at order
+    eigenvalues of the truncation matrix J_n (Ince's method, solved by
+    ``_tridiagonal_eigvals``), polished on the fraction at `depth` to `tol`.
+    n doubles from 32 until every candidate polishes onto a root near
+    itself and two successive sets agree, at most to depth+1, where the
+    eigenvalues are exactly the zeros at `depth`.  A tuple that terminates at q (K_{q+1} = 0) stops at order
     min(depth, q) + 1: g is then a finite fraction whose zeros are exactly
     the eigenvalues of J_{q+1}.  Each root must be stable under depth
     doubling (else DepthUnstable).

@@ -140,6 +140,16 @@ class TestEigen:
         assert code == EXIT_OK
         assert records(out)[0]["q"] == 0
 
+    def test_polynomial_mode_uses_the_library_termination_rule(self, capsys):
+        # nu within 1e-9 of 3 terminates at q = 0, as termination_check says
+        code, out = run_cli(
+            ["eigen", "--k", "0.6", "--nu", "3.0000000001", "--mode", "polynomial"], capsys
+        )
+        assert code == EXIT_OK
+        recs = records(out)
+        assert [r["q"] for r in recs] == [0]
+        assert abs(complex(recs[0]["h"]) - 4 * 1.36) < 1e-8
+
 
 class TestCatalog:
     def test_list_192_in_8_groups(self, capsys):

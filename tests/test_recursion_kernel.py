@@ -2,9 +2,9 @@
 
 The oracle below is the list-based implementation that the numpy tables
 replaced: Python list comprehensions for M, A, B, K, a forward recursion
-with a finiteness test per step, Miller's backward pass and the backward
-continued fraction, all over Python scalars.  Every kernel output must
-equal it bit for bit.
+with a finiteness test per step, and the backward continued fraction with
+the product of its tails for the minimal solution, all over Python
+scalars.  Every kernel output must equal it bit for bit.
 """
 
 import cmath
@@ -93,32 +93,36 @@ def oracle_forward(p, N, variant):
     return values, exps, None
 
 
-def oracle_minimal(p, N, variant, buffer=60):
-    """Miller's backward pass, or the forward pass where some K_m = 0."""
-    top = N + buffer
-    vals = np.zeros(top + 2, dtype=complex)
-    vals[top] = 1.0
-    M, A, B, K, c = oracle_weights(p.exponents, p.k, variant, top + 1)
-    for m in range(top, 0, -1):
-        if K[m] == 0:
-            return oracle_forward(p, N, variant)
-        vals[m - 1] = -(M[m] * vals[m + 1] + (p.h - A[m] - B[m] + c) * vals[m]) / K[m]
-        if abs(vals[m - 1]) > 2.0**512:
-            vals *= 2.0**-512
-    if vals[0] == 0:
-        raise DegenerateRecursion("backward recursion produced C_0 = 0")
-    return (vals[: N + 1] / vals[0]).astype(complex), np.zeros(N + 1, dtype=np.int64), None
-
-
-def oracle_cf(h, p, depth, variant):
+def oracle_cf_tails(h, p, depth, variant):
+    """The backward continued fraction and its tails t_1..t_depth (tails[j] = t_j)."""
     M, A, B, K, c = oracle_weights(p.exponents, p.k, variant, depth + 1)
+    tails = [0j] * (depth + 1)
     tail = 0j
     for j in range(depth, 0, -1):
         denom = (h - A[j] - B[j] + c) / M[j] - tail
         if denom == 0:
             raise ZeroPivot(f"vanishing partial denominator at level {j}")
         tail = (K[j] / M[j]) / denom
-    return (h - A[0] - B[0] + c) / M[0] - tail
+        tails[j] = tail
+    return (h - A[0] - B[0] + c) / M[0] - tail, tails
+
+
+def oracle_cf(h, p, depth, variant):
+    return oracle_cf_tails(h, p, depth, variant)[0]
+
+
+def oracle_minimal(p, N, variant):
+    """C_0 = 1, C_m = -t_m C_{m-1} from the tails at max(2N, 200), or the
+    forward pass for a terminating tuple."""
+    if termination_check(p) is not None:
+        return oracle_forward(p, N, variant)
+    _, tails = oracle_cf_tails(p.h, p, max(2 * N, 200), variant)
+    values = [1.0 + 0j]
+    for m in range(1, N + 1):
+        values.append(-tails[m] * values[m - 1])
+        if not (cmath.isfinite(values[m].real) and cmath.isfinite(values[m].imag)):
+            raise CoefficientOverflow(f"coefficient C_{m} overflowed")
+    return np.array(values, dtype=complex), np.zeros(N + 1, dtype=np.int64), None
 
 
 def oracle_matrix(p, n, variant):
@@ -203,7 +207,7 @@ def test_kernel_matches_list_oracle_bit_for_bit(exps, k, h, variant, N, q):
     if qt is not None and qt <= 12:
         want = outcome(oracle_matrix, p, qt + 1, variant)
         if isinstance(want, np.ndarray):
-            want = np.linalg.eigvals(want)
+            want = series._tridiagonal_eigvals(want)
             want = want[np.argsort(want.real + 1e-9 * want.imag)]
         assert same_bits(outcome(polynomial_eigenvalues, p, qt, variant), want)
 
@@ -292,20 +296,33 @@ def test_nonfinite_exponent_refused_before_any_table(exps):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("h, message", [
+@pytest.mark.parametrize("h, c1", [
     (1e153, None),
-    (1e160, "coefficient C_129 overflowed in the backward pass"),
-    (1e160 * (1 + 1j), "coefficient C_141 overflowed in the backward pass"),
-])
-def test_backward_overflow_is_refused(h, message):
-    # the backward pass rescales at 2^512, but one step with a huge L_m
-    # still overflows: never a silent NaN, never a numpy warning
+    (1e160, -4.6e-160),
+    (1e160 * (1 + 1j), -2.3e-160 + 2.3e-160j),
+], ids=["1e153", "1e160", "1e160(1+1j)"])
+def test_minimal_mode_at_huge_h_is_finite(h, c1):
+    # the tails are about K_m / h: their products decay, the later ones to
+    # an exact zero, never to a silent NaN or a numpy warning
     p = ParamTuple(0.1, 0.2, 0.3, 1.5, h, k=0.6)
-    if message is None:
-        assert np.isfinite(dl_coefficients(p, 200, mode="minimal").values).all()
-    else:
-        with pytest.raises(CoefficientOverflow, match=f"^{message}$"):
-            dl_coefficients(p, 200, mode="minimal")
+    values = dl_coefficients(p, 200, mode="minimal").values
+    assert np.isfinite(values).all()
+    if c1 is not None:
+        assert values[1] == pytest.approx(c1, rel=0.05)
+        assert not values[3:].any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h", [math.inf, math.nan, complex(0, math.inf)])
+def test_nonfinite_accessory_parameter_refused(h):
+    p = ParamTuple(0.1, 0.2, 0.3, 1.5, h, k=0.6)
+    with pytest.raises(NonFiniteExponent, match="accessory parameter h"):
+        infinite_cf(h, p)
+    for mode in ("auto", "forward", "minimal"):
+        with pytest.raises(NonFiniteExponent, match="accessory parameter h"):
+            dl_coefficients(p, 200, mode=mode)
+    with pytest.raises(NonFiniteExponent, match="accessory parameter h"):
+        series.dl_eval(p, 0.3)
 
 
 @pytest.mark.parametrize("exps, k, variant", [
@@ -324,3 +341,17 @@ def test_overflowing_tables_are_refused(exps, k, variant):
         series.darboux_function_eigenvalues(p, (0, 12), variant=variant)
     with pytest.raises(CoefficientOverflow):
         dl_coefficients(p, 200, variant=variant)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("exps, k", [
+    ((4 * 10**18, 0, 0, 0), 0.6),   # M_3 = 8 (8e18 + 9) passes 2^63
+    ((1, 0, 2, 3), 2**31),          # k^2 = 2^62 times (2m + b1)(2m + b2)
+])
+def test_int_tables_that_could_pass_int64_are_built_in_float(exps, k, variant):
+    # an int64 table would wrap silently (M_3 read 8659767778871345224, g(5) = 78)
+    p = ParamTuple(*exps, 5.0, k=k)
+    flt = ParamTuple(*map(float, exps), 5.0, k=float(k))
+    assert recursion_coeffs(3, p, variant) == recursion_coeffs(3, flt, variant)
+    assert type(recursion_coeffs(3, p, variant).M) is float
+    assert infinite_cf(5.0, p, variant=variant) == infinite_cf(5.0, flt, variant=variant)

@@ -4,6 +4,7 @@ import cmath
 import math
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -440,6 +441,40 @@ class TestTridiagonalEigvals:
             assert got == pytest.approx(want, abs=1e-12, rel=0)
 
 
+def _minimal_reference(p, N, depth=1200):
+    """C_0..C_N of the minimal solution: the products of the tails of a
+    40-digit backward continued fraction at `depth` (corrected variant)."""
+    with mp.workdps(40):
+        xi, eta, mu, nu = (mp.mpf(x) for x in p.exponents)
+        k2, h = mp.mpf(p.k) ** 2, mp.mpf(p.h)
+        tails, t = [0] * (depth + 1), mp.mpf(0)
+        for j in range(depth, 0, -1):
+            L = h - (2 * j + eta + xi + 2) ** 2 - k2 * (2 * j + mu + xi + 2) ** 2
+            M = (2 * j + 2) * (2 * j + 2 * xi + 3)
+            Kj = k2 * (2 * j + xi + eta + mu + nu + 2) * (2 * j + xi + eta + mu - nu + 1)
+            tails[j] = t = (Kj / M) / (L / M - t)
+        c = [mp.mpf(1)]
+        for m in range(1, N + 1):
+            c.append(-tails[m] * c[-1])
+        return np.array([complex(x) for x in c])
+
+
+class TestMinimalCoefficients:
+    @pytest.mark.parametrize("k, bound", [(0.9, 1e-10), (0.937, 1e-10), (0.95, 1e-8)])
+    def test_lame_roots_match_a_deep_fraction(self, k, bound):
+        # Lame nu = 1.3 at its function eigenvalues: the coefficients decay
+        # like k^2m, and a backward start only 60 levels above C_200 left an
+        # error of about k^120 (2.7e-6 at k = 0.9, 2e-3 at k = 0.95)
+        roots = darboux_function_eigenvalues(P(0, 0, 0, 1.3, k=k), (0.0, 12.0))
+        assert len(roots) == 2
+        for h in roots:
+            p = P(0, 0, 0, 1.3, h=h.real, k=k)
+            coeffs = dl_coefficients(p, 200)
+            assert coeffs.mode == "minimal"
+            want = _minimal_reference(p, 200)
+            assert (np.abs(coeffs.values - want) / np.abs(want)).max() <= bound
+
+
 class TestConvergenceDomain:
     def test_generic_and_special(self):
         p = P(0, 0, 0, 1)
@@ -471,7 +506,7 @@ class TestRatioDiagnostic:
         p = P(0, 0, 0, 1)
         hhat = darboux_function_eigenvalues(p, (3.0, 4.0))[0]
         coeffs = dl_coefficients(ParamTuple(0, 0, 0, 1, h=hhat, k=K), 200)
-        assert coeffs.mode == "minimal"  # auto picks the backward pass here
+        assert coeffs.mode == "minimal"  # auto picks the minimal solution at a root
         diag = ratio_diagnostic(coeffs, K)
         assert diag.classification == "minimal"
         assert abs(diag.limit - K * K) < 1e-3

@@ -253,3 +253,13 @@ def test_far_off_point_refused_in_constant_time():
     for got, want in ((best(jacobi_sn_cn_dn, u, k), best(oracle_scalar, z, md.q)),
                       (best(jacobi_sn_cn_dn, np.array([u]), k), best(oracle_array, np.array([z]), md.q))):
         assert got < 20 * max(want, 1e-5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(math.inf, 0), complex(0.3, -math.inf),
+                                 complex(math.nan, 1.0)])
+def test_nonfinite_argument_refused(bad):
+    # refused by name before v = pi u / (2K), for a scalar and an array alike
+    for u in (bad, np.array([0.3, bad]), np.array([[bad]])):
+        with pytest.raises(NonConvergence, match=r"^argument u = .* is not finite$"):
+            jacobi_sn_cn_dn(u, 0.6)
