@@ -83,7 +83,7 @@ def enumerate_192() -> list[SolutionId]:
     return out
 
 
-def classify(sid: SolutionId, p: ParamTuple | None = None) -> SolutionGroup:
+def classify(sid: SolutionId) -> SolutionGroup:
     """The (singular point, branch) set containing this id.
 
     The Klein index determines the singular point (the first series slot

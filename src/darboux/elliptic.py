@@ -243,7 +243,9 @@ def lambda_of_tau(tau: complex) -> complex:
 
 
 def _lattice_remainder(u: complex, p1: complex, p2: complex) -> float:
-    """Distance from u to the lattice Z*p1 + Z*p2."""
+    """Distance from u to the lattice Z*p1 + Z*p2; NonConvergence for a non-finite u."""
+    if not cmath.isfinite(u):
+        raise NonConvergence(f"argument u = {u} is not finite")
     det = p1.real * p2.imag - p1.imag * p2.real
     a = (u.real * p2.imag - u.imag * p2.real) / det
     b = (p1.real * u.imag - p1.imag * u.real) / det

@@ -11,7 +11,6 @@ underlying potential identities exposed as sub-checks.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .elliptic import _refuse_zero, jacobi_sn_cn_dn
 from .series import dl_eval
@@ -19,18 +18,6 @@ from .symmetry import ParamTuple, TransformRow, gii_by_name
 
 LAME_SUBGROUP_NAMES = ("I0", "A1", "B2", "C0", "D2", "E1")
 ASSOC_LAME_SUBGROUP_NAMES = ("I0", "I1", "A0", "A1")
-
-
-@dataclass(frozen=True)
-class LameParams:
-    """The one-potential equation y'' + (h - nu(nu+1) k^2 sn^2) y = 0."""
-
-    nu: complex
-    h: complex
-    k: complex
-
-    def as_param_tuple(self) -> ParamTuple:
-        return ParamTuple(0.0, 0.0, 0.0, self.nu, h=self.h, k=self.k)
 
 
 def lame_subgroup() -> list[TransformRow]:

@@ -84,35 +84,19 @@ def _check_log_case(xi: complex) -> None:
         raise LogarithmicCase(f"xi = {xi} is in {{-3/2, -5/2, ...}}")
 
 
-def _mul(a, b):
-    """a * b elementwise by CPython's scalar rule: (ar br - ai bi) + i (ar bi + ai br),
-    a real factor having imaginary part 0 (numpy's complex loops fuse multiply-adds)."""
-    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-        return a * b
-    z = np.empty(np.broadcast(a, b).shape, complex)
-    z.real, z.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
-    return z
-
-
-def _square(a: np.ndarray) -> np.ndarray:
-    """a ** 2 elementwise by CPython's scalar rule: (1+0j)(a a) or libm pow."""
-    if np.iscomplexobj(a):
-        return _mul(1 + 0j, _mul(a, a))
-    return a * a if a.dtype.kind == "i" else np.float_power(a, 2)
-
-
 @lru_cache(maxsize=16, typed=True)
 def _weights(xi, eta, mu, nu, k, variant: str, n: int):
-    """The h-free recursion tables for m = 0..n-1: read-only arrays M, A, B, K,
-    each entry with the bits of its scalar formula in Python, and the variant
-    constant c, with L_m = h - A[m] - B[m] + c.  ``_tables`` rounds n up to a
-    power of two of at least 512, so a 200-term series and its depth-400
-    fraction share one build; h is not in the key, the type of each
-    parameter is (0, 0.0 and 0j give int, float and complex tables).  A
-    build holds at most 64 n bytes: 16 builds of n <= 1024 (depth 800) stay
-    within 1 MB.  Int tables that could pass int64 are built in float (each
-    entry, and c, is at most 2 b^2 max(1, |k^2|), with b bounding every linear
-    factor); tables beyond the float range raise CoefficientOverflow."""
+    """The h-free recursion table for m = 0..n-1: the three diagonals of the
+    truncation matrix J as tuples M, D, K of Python scalars, with
+    L_m = h - D[m] (D_m = A_m + B_m - c: the two squares of L_m and the
+    paper variant's constant c).  ``_tables`` rounds n up to a power of two
+    of at least 512, so a 200-term series and its depth-400 fraction share
+    one build; h is not in the key, the type of each parameter is (0, 0.0
+    and 0j give int, float and complex entries).  A build holds at most
+    3 n Python scalars, about 120 n bytes: 16 builds of n <= 1024 (depth
+    800) stay within 2 MB.  Int tables that could pass int64 are built in
+    float (each entry is at most 4 b^2 max(1, |k^2|), with b bounding every
+    linear factor); tables beyond the float range raise CoefficientOverflow."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if not all(cmath.isfinite(g) for g in (xi, eta, mu, nu)):
@@ -121,23 +105,20 @@ def _weights(xi, eta, mu, nu, k, variant: str, n: int):
     k2 = k * k
     m2 = np.arange(0, 2 * n, 2)
     b = 2 * n + 3 + 2 * sum(abs(g) for g in (xi, eta, mu, nu))
-    if 2 * b * b * max(1, abs(k2)) >= 2**63:
+    if 4 * b * b * max(1, abs(k2)) >= 2**63:
         m2 = m2.astype(float)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            M = _mul(m2 + 2, m2 + 2 * xi + 3)
-            A = _square(m2 + (eta + xi + 2))
-            B = _mul(k2, _square(m2 + (mu + xi + 2)))
-            K = _mul(_mul(k2, m2 + (xi + eta + mu + nu + 2)), m2 + (xi + eta + mu - nu + 1))
-        c = (k2 + 1) * (xi + 1) ** 2 if variant == "paper" else 0.0
-        finite = cmath.isfinite(c) and all(np.isfinite(t).all() for t in (M, A, B, K))
+            c = (k2 + 1) * (xi + 1) ** 2 if variant == "paper" else 0
+            M = (m2 + 2) * (m2 + 2 * xi + 3)
+            D = (m2 + (eta + xi + 2)) ** 2 + k2 * (m2 + (mu + xi + 2)) ** 2 - c
+            K = k2 * (m2 + (xi + eta + mu + nu + 2)) * (m2 + (xi + eta + mu - nu + 1))
+        finite = all(np.isfinite(t).all() for t in (M, D, K))
     except OverflowError:   # a Python power or int beyond the float range
         finite = False
     if not finite:
         raise CoefficientOverflow(f"recursion tables overflow for exponents {(xi, eta, mu, nu)} and k = {k}")
-    for t in (M, A, B, K):
-        t.flags.writeable = False
-    return M, A, B, K, c
+    return tuple(M.tolist()), tuple(D.tolist()), tuple(K.tolist())
 
 
 def _tables(p: ParamTuple, variant: str, n: int):
@@ -145,20 +126,18 @@ def _tables(p: ParamTuple, variant: str, n: int):
     return _weights(*p.exponents, p.k, variant, max(512, 1 << int(n - 1).bit_length()))
 
 
-def _recursion_lists(p: ParamTuple, h: complex, variant: str, n: int) -> tuple[list, list, list]:
-    """Lists L, M, K of the recursion at accessory parameter h for m = 0..n-1."""
-    M, A, B, K, c = _tables(p, variant, n)
+def _check_h(h: complex) -> None:
     if not cmath.isfinite(h):
         raise NonFiniteExponent(f"accessory parameter h = {h} is not finite")
-    return (h - A[:n] - B[:n] + c).tolist(), M[:n].tolist(), K[:n].tolist()
 
 
 def recursion_coeffs(m: int, p: ParamTuple, variant: str = "corrected") -> RecursionCoeffs:
     """Weights (M_m, L_m, K_m) of the three-term recursion at index m."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    L, M, K = _recursion_lists(p, p.h, variant, m + 1)
-    return RecursionCoeffs(M=M[m], L=L[m], K=K[m])
+    M, D, K = _tables(p, variant, m + 1)
+    _check_h(p.h)
+    return RecursionCoeffs(M=M[m], L=p.h - D[m], K=K[m])
 
 
 def termination_check(p: ParamTuple) -> int | None:
@@ -234,6 +213,8 @@ def dl_coefficients(
     """
     if mode not in ("auto", "forward", "minimal"):
         raise ValueError(f"unknown mode {mode!r}")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     if mode != "forward" and termination_check(p) is None:
         g, tails = _cf_pass(p.h, p, _root_depth(N), variant)
         if mode == "minimal" or abs(g) < _ROOT_TOL:
@@ -254,11 +235,13 @@ def _finite(vals: list) -> np.ndarray:
 
 
 def _coefficients_forward(p: ParamTuple, N: int, variant: str) -> SeriesCoefficients:
-    L, M, K = _recursion_lists(p, p.h, variant, N)
+    M, D, K = _tables(p, variant, N)
+    h = p.h
+    _check_h(h)
     prev, cur, e = 0j, 1.0 + 0j, 0          # C_{m-1}, C_m at the common scale 2^e
     vals, es = [cur], [e]
     for m in range(N):
-        prev, cur = cur, -(L[m] * cur + K[m] * prev) / M[m]
+        prev, cur = cur, -((h - D[m]) * cur + K[m] * prev) / M[m]
         if abs(cur) > _RESCALE_LIMIT:
             cur = complex(math.ldexp(cur.real, -_RESCALE_SHIFT), math.ldexp(cur.imag, -_RESCALE_SHIFT))
             prev = complex(math.ldexp(prev.real, -_RESCALE_SHIFT), math.ldexp(prev.imag, -_RESCALE_SHIFT))
@@ -285,11 +268,11 @@ def _detect_termination(p: ParamTuple, values: np.ndarray, exps: np.ndarray) -> 
 def _truncation_matrix(p: ParamTuple, n: int, variant: str) -> np.ndarray:
     """The tridiagonal J_n of the recursion cut at C_n = 0 (L_m = h - J[m, m]);
     its eigenvalues are the zeros of the continued fraction at depth n-1."""
-    M, A, B, K, c = _tables(p, variant, n)
+    M, D, K = _tables(p, variant, n)
     J = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(J, A[:n] + B[:n] - c)
-    np.fill_diagonal(J[:, 1:], -M[: n - 1])
-    np.fill_diagonal(J[1:], -K[1:n])
+    np.fill_diagonal(J, D[:n])
+    np.fill_diagonal(J[:, 1:], np.negative(M[: n - 1]))
+    np.fill_diagonal(J[1:], np.negative(K[1:n]))
     return J
 
 
@@ -344,15 +327,16 @@ def _cf_pass(h: complex, p: ParamTuple, depth: int, variant: str) -> tuple[compl
     """One backward pass of the continued fraction over the cached tables: its
     value and its tails t_j = (K_j/M_j)/(L_j/M_j - t_{j+1}) = -C_j/C_{j-1} of
     the minimal solution, in tails[1..depth]."""
-    L, M, K = _recursion_lists(p, h, variant, depth + 1)
+    M, D, K = _tables(p, variant, depth + 1)
+    _check_h(h)
     tails = [0j] * (depth + 1)
     tail = 0j
     for j in range(depth, 0, -1):
-        denom = L[j] / M[j] - tail
+        denom = (h - D[j]) / M[j] - tail
         if denom == 0:
             raise ZeroPivot(f"vanishing partial denominator at level {j}")
         tails[j] = tail = (K[j] / M[j]) / denom
-    return L[0] / M[0] - tail, tails
+    return (h - D[0]) / M[0] - tail, tails
 
 
 def _cf_raw(h: complex, p: ParamTuple, depth: int, variant: str) -> complex:

@@ -182,13 +182,13 @@ DEFAULT_FD_STEP = 4e-3
 _FD_OFFSETS = (2.0, 1.0, 0.5, 0.0, -0.5, -1.0, -2.0)
 
 
-def _richardson(vals, step: float, d) -> complex:
+def _richardson(vals, step: float) -> complex:
     """5-point central second derivative with one Richardson level, from the
     values at ``_FD_OFFSETS`` (first axis)."""
     f2, f1, fh, f0, fmh, fm1, fm2 = vals
 
     def stencil(a2, a1, b1, b2, s):
-        return (-a2 + 16 * a1 - 30 * f0 + 16 * b1 - b2) / (12 * s * s * d * d)
+        return (-a2 + 16 * a1 - 30 * f0 + 16 * b1 - b2) / (12 * s * s)
 
     return (16 * stencil(f1, fh, fmh, fm1, step / 2) - stencil(f2, f1, fm1, fm2, step)) / 15
 
@@ -202,16 +202,10 @@ def _first_derivative(vals, step: float):
     return (16 * half - full) / 15
 
 
-def second_derivative(f, u: complex, step: float, direction: complex = 1.0) -> complex:
-    """5-point central second derivative with one Richardson level."""
-    d = direction / abs(direction)
-    return _richardson([f(u + o * step * d) for o in _FD_OFFSETS], step, d)
-
-
 def _second_derivatives(f, us: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     """(f'', f) at every point of `us` from one call of the elementwise f."""
     vals = f(us + step * np.array(_FD_OFFSETS)[:, None])
-    return _richardson(vals, step, 1.0), vals[_FD_OFFSETS.index(0.0)]
+    return _richardson(vals, step), vals[_FD_OFFSETS.index(0.0)]
 
 
 def _calibration(grid_size: int, step: float) -> float:

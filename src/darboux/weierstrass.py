@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 from .elliptic import (
     ModulusData,
+    _check_modulus,
     _lattice_remainder,
     _theta_all,
     jacobi_sn_cn_dn,
     lambda_of_tau,
 )
-from .errors import DegenerateModulus, ParabolicImage, PoleProximity
+from .errors import ParabolicImage, PoleProximity
 from .symmetry import AnhElement, anh_element
 
 _REAL_TAU_TOL = 1e-12
@@ -55,13 +56,14 @@ class EValues:
 
 
 def evalues_from_modulus(k: complex, scale: complex = 1.0) -> EValues:
-    """The unique e-values with k^2 = (e2-e3)/(e1-e3), e1-e3 = scale, sum 0."""
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
-    k = complex(k)
+    """The unique e-values with k^2 = (e2-e3)/(e1-e3), e1-e3 = scale, sum 0.
+
+    DegenerateModulus for a k that ``elliptic`` refuses (non-finite, or
+    k^2 in {0, 1}); ValueError for a zero or non-finite scale."""
+    if scale == 0 or not cmath.isfinite(scale):
+        raise ValueError(f"scale must be finite and nonzero, got {scale}")
+    k = _check_modulus(k)
     k2 = k * k
-    if abs(k2) < 1e-14 or abs(k2 - 1) < 1e-14:
-        raise DegenerateModulus(f"k^2 = {k2}")
     e1 = scale * (2 - k2) / 3
     e2 = scale * (2 * k2 - 1) / 3
     e3 = -scale * (1 + k2) / 3
@@ -135,10 +137,6 @@ class CurvePoint:
         lhs = self.y**2
         rhs = 4 * self.x**3 - ev.g2 * self.x - ev.g3
         return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
-def evalues_of_point(p: CurvePoint) -> EValues:
-    return EValues(*evalues_from_tau(p.tau))
 
 
 def curve_add(p: CurvePoint, q: CurvePoint, ev: EValues) -> CurvePoint:

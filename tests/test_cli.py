@@ -240,6 +240,16 @@ class TestIdentitiesLambdaWeierstrass:
         r = records(out)[0]
         assert abs(r["lambda_re"] - 0.5) < 1e-10 and abs(r["lambda_im"]) < 1e-12
 
+    @pytest.mark.parametrize("flag, value", [("--k", "nan"), ("--k", "inf"), ("--scale", "nan")])
+    def test_weierstrass_evalues_nonfinite_exit_2_one_error_line(self, flag, value, capsys):
+        argv = ["weierstrass", "evalues", "--k", "0.6", flag, value]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_weierstrass_evalues(self, capsys):
         code, out = run_cli(
             ["weierstrass", "evalues", "--k", str(np.sqrt(0.5))], capsys

@@ -1,10 +1,14 @@
-"""The recursion-table kernel: numpy tables with the bits of the scalar loops.
+"""The recursion-table kernel: the truncation matrix's three diagonals, and
+the loops that read them.
 
-The oracle below is the list-based implementation that the numpy tables
-replaced: Python list comprehensions for M, A, B, K, a forward recursion
-with a finiteness test per step, and the backward continued fraction with
-the product of its tails for the minimal solution, all over Python
-scalars.  Every kernel output must equal it bit for bit.
+The oracle below is the list-based implementation of the kernel: Python
+list comprehensions for M, A, B, K and the paper constant c, a forward
+recursion with a finiteness test per step, and the backward continued
+fraction with the product of its tails for the minimal solution, all over
+Python scalars.  The kernel's tables M, D = A + B - c, K are built in numpy
+arithmetic, which may round a complex product differently: they must equal
+the oracle's to a few ulps.  Fed the kernel's own tables, the oracle's loops
+must give the kernel's outputs bit for bit.
 """
 
 import cmath
@@ -62,11 +66,11 @@ def oracle_forward(p, N, variant):
     exps = np.zeros(N + 1, dtype=np.int64)
     values[0] = 1.0
     prev, cur, e = 0j, 1.0 + 0j, 0
-    M, A, B, K, c = oracle_weights(p.exponents, p.k, variant, N)
+    M, D, K = series._tables(p, variant, N)
     for m in range(N):
         if M[m] == 0:
             raise DegenerateRecursion(f"M_{m} = 0")
-        nxt = -((p.h - A[m] - B[m] + c) * cur + K[m] * prev) / M[m]
+        nxt = -((p.h - D[m]) * cur + K[m] * prev) / M[m]
         prev, cur = cur, nxt
         if not (cmath.isfinite(cur.real) and cmath.isfinite(cur.imag)):
             raise CoefficientOverflow(f"coefficient C_{m + 1} overflowed")
@@ -95,16 +99,16 @@ def oracle_forward(p, N, variant):
 
 def oracle_cf_tails(h, p, depth, variant):
     """The backward continued fraction and its tails t_1..t_depth (tails[j] = t_j)."""
-    M, A, B, K, c = oracle_weights(p.exponents, p.k, variant, depth + 1)
+    M, D, K = series._tables(p, variant, depth + 1)
     tails = [0j] * (depth + 1)
     tail = 0j
     for j in range(depth, 0, -1):
-        denom = (h - A[j] - B[j] + c) / M[j] - tail
+        denom = (h - D[j]) / M[j] - tail
         if denom == 0:
             raise ZeroPivot(f"vanishing partial denominator at level {j}")
         tail = (K[j] / M[j]) / denom
         tails[j] = tail
-    return (h - A[0] - B[0] + c) / M[0] - tail, tails
+    return (h - D[0]) / M[0] - tail, tails
 
 
 def oracle_cf(h, p, depth, variant):
@@ -126,11 +130,11 @@ def oracle_minimal(p, N, variant):
 
 
 def oracle_matrix(p, n, variant):
-    M, A, B, K, c = oracle_weights(p.exponents, p.k, variant, n)
+    M, D, K = series._tables(p, variant, n)
     J = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(J, [a + b - c for a, b in zip(A, B)])
-    np.fill_diagonal(J[:, 1:], [-x for x in M[:-1]])
-    np.fill_diagonal(J[1:], [-x for x in K[1:]])
+    np.fill_diagonal(J, D[:n])
+    np.fill_diagonal(J[:, 1:], [-x for x in M[: n - 1]])
+    np.fill_diagonal(J[1:], [-x for x in K[1:n]])
     return J
 
 
@@ -171,6 +175,30 @@ modulus = st.one_of(
 accessory = st.one_of(st.floats(-60.0, 60.0), st.builds(complex, st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)))
 
 
+#: A table entry may differ from the oracle's by this many units of 2^-52
+#: times the magnitudes it is built from: |M|, |K|, and |A| + |B| + |c| for D.
+TABLE_ULPS = 4
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(exps=st.tuples(exponent, exponent, exponent, exponent), k=modulus, variant=st.sampled_from(VARIANTS))
+def test_tables_match_the_list_oracle_within_ulps(exps, k, variant):
+    p = ParamTuple(*exps, h=0.0, k=k)
+    got = outcome(series._tables, p, variant, 300)
+    want = outcome(oracle_weights, p.exponents, p.k, variant, 300)
+    if isinstance(got[0], str) or isinstance(want[0], str):   # refused, the same way
+        assert got == want
+        return
+    M, A, B, K, c = want
+    bound = TABLE_ULPS * 2.0**-52
+    for m in range(300):
+        for table, exact, scale in ((got[0], M[m], abs(M[m])),
+                                    (got[1], A[m] + B[m] - c, abs(A[m]) + abs(B[m]) + abs(c)),
+                                    (got[2], K[m], abs(K[m]))):
+            assert type(table[m]) is type(exact)
+            assert abs(table[m] - exact) <= bound * scale, (m, table[m], exact)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     exps=st.tuples(exponent, exponent, exponent, exponent),
@@ -184,24 +212,16 @@ def test_kernel_matches_list_oracle_bit_for_bit(exps, k, h, variant, N, q):
     if q is not None:   # a terminating tuple: xi + eta + mu + nu = -2q - 4
         exps = (*exps[:3], -(exps[0] + exps[1] + exps[2]) - 2 * q - 4)
     p = ParamTuple(*exps, h=h, k=k)
-    # the oracle has no cache: compare against a fresh build
-    series._weights.cache_clear()
-    got = outcome(series._tables, p, variant, 300)
-    want = outcome(oracle_weights, p.exponents, p.k, variant, 300)
-    if isinstance(got[0], np.ndarray):
-        got, want = tuple(t[:300].tolist() for t in got[:4]) + got[4:], tuple(want)
-    assert same_bits(got, want)
     assert same_bits(coefficient_outcome(p, N, variant, "forward"), outcome(oracle_forward, p, N, variant))
     assert same_bits(coefficient_outcome(p, N, variant, "minimal"), outcome(oracle_minimal, p, N, variant))
     for depth in (1, 37, 400):
         assert same_bits(outcome(_cf_raw, h, p, depth, variant), outcome(oracle_cf, h, p, depth, variant))
     for m in (0, 5, 300):
         got = outcome(recursion_coeffs, m, p, variant)
+        want = outcome(series._tables, p, variant, m + 1)
         if isinstance(got, series.RecursionCoeffs):
-            M, A, B, K, c = oracle_weights(p.exponents, p.k, variant, m + 1)
-            got, want = (got.M, got.L, got.K), (M[m], h - A[m] - B[m] + c, K[m])
-        else:
-            want = outcome(oracle_weights, p.exponents, p.k, variant, 1)
+            M, D, K = want
+            got, want = (got.M, got.L, got.K), (M[m], h - D[m], K[m])
         assert same_bits(got, want)
     qt = termination_check(p)
     if qt is not None and qt <= 12:
@@ -226,13 +246,14 @@ def test_cached_tables_keep_the_parameter_types(order):
     for zero in order:
         p = ParamTuple(zero, zero, zero, zero, zero, k=0.05)
         assert type(recursion_coeffs(0, p).M) is type(zero)
-        assert series._tables(p, "corrected", 10)[0].dtype == np.asarray(zero).dtype
+        assert {type(x) for x in series._tables(p, "corrected", 10)[0]} == {type(zero)}
 
 
 def test_cached_tables_are_read_only():
-    M, A, B, K, _ = series._tables(ParamTuple(0.1, 0.2, 0.3, 1.5, 0.0, k=0.6), "corrected", 10)
-    for table in (M, A, B, K):
-        with pytest.raises(ValueError):
+    tables = series._tables(ParamTuple(0.1, 0.2, 0.3, 1.5, 0.0, k=0.6), "corrected", 10)
+    assert len(tables) == 3
+    for table in tables:
+        with pytest.raises(TypeError):
             table[0] = 1.0
 
 
@@ -266,6 +287,16 @@ def test_forward_overflow_names_the_first_nonfinite_coefficient(h, message):
     else:
         with pytest.raises(CoefficientOverflow, match=f"^{message}$"):
             dl_coefficients(p, 200, mode="forward")
+
+
+@pytest.mark.parametrize("mode", ["auto", "forward", "minimal"])
+def test_negative_term_count_refused(mode):
+    # as recursion_coeffs refuses m < 0: never one coefficient or numpy's own error
+    p = ParamTuple(0.1, 0.2, 0.3, 1.5, 5.0, k=0.6)
+    with pytest.raises(ValueError, match="^N must be >= 0$"):
+        dl_coefficients(p, -3, mode=mode)
+    with pytest.raises(ValueError, match="^N must be >= 0$"):
+        series.dl_eval(p, 0.3, N=-3, mode=mode)
 
 
 @pytest.mark.parametrize("depth", [1, 5, 40, 400])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from darboux.reductions import (
-    LameParams,
     assoc_lame_subgroup,
     duplication_pair,
     duplication_potential_identity,
@@ -152,9 +151,3 @@ class TestDuplication:
         lhs, rhs = duplication_pair(0.0, 0.9, K, 0.19)
         assert abs(lhs / rhs - 1) < 1e-10
 
-
-class TestLameParams:
-    def test_as_param_tuple(self):
-        lp = LameParams(nu=1.0, h=1 + K * K, k=K)
-        p = lp.as_param_tuple()
-        assert (p.xi, p.eta, p.mu, p.nu) == (0.0, 0.0, 0.0, 1.0)

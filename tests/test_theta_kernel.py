@@ -26,6 +26,9 @@ from darboux.elliptic import (
     jacobi_sn_cn_dn,
 )
 from darboux.errors import NomeOutOfDisc, NonConvergence
+from darboux.symmetry import ParamTuple
+from darboux.verify import ode_residual
+from darboux.weierstrass import evalues_from_modulus, wp
 
 CAP, TOL = 256, 1e-17
 
@@ -263,3 +266,15 @@ def test_nonfinite_argument_refused(bad):
     for u in (bad, np.array([0.3, bad]), np.array([[bad]])):
         with pytest.raises(NonConvergence, match=r"^argument u = .* is not finite$"):
             jacobi_sn_cn_dn(u, 0.6)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.3, -math.inf)])
+def test_nonfinite_argument_refused_by_the_pole_guards(bad):
+    # the lattice distance that jacobi, wp and ode_residual take first refuses it the same way
+    ev = evalues_from_modulus(0.6)
+    p = ParamTuple(0.1, 0.2, 0.3, 1.5, 5.0, k=0.6)
+    for call in (lambda: elliptic.jacobi("sn", bad, 0.6), lambda: wp(bad, ev, 0.6),
+                 lambda: ode_residual(np.sin, p, [bad])):
+        with pytest.raises(NonConvergence, match=r"^argument u = .* is not finite$"):
+            call()

@@ -17,7 +17,6 @@ from darboux.weierstrass import (
     darboux_potential_algebraic,
     evalues_from_modulus,
     evalues_from_tau,
-    evalues_of_point,
     half_period_shift,
     wp,
     wp_tau,
@@ -49,6 +48,16 @@ class TestEValues:
     def test_degenerate(self):
         with pytest.raises(DegenerateModulus):
             evalues_from_modulus(1.0)
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), complex(0.6, float("nan"))])
+    def test_nonfinite_modulus_refused(self, k):
+        with pytest.raises(DegenerateModulus, match="modulus must be finite"):
+            evalues_from_modulus(k)
+
+    @pytest.mark.parametrize("scale", [0, float("nan"), complex(float("inf"), 1.0)])
+    def test_zero_or_nonfinite_scale_refused(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite and nonzero"):
+            evalues_from_modulus(0.6, scale=scale)
 
     def test_evalues_from_tau_matches_modulus_route(self):
         for tau in GENERIC_TAUS:
@@ -180,7 +189,7 @@ class TestAnhOnE:
             assert p.curve_residual(EValues(*evalues_from_tau(tau))) < 1e-10
             for tag in ANH_TAGS:
                 q = anh_on_E(tag, p)
-                assert q.curve_residual(evalues_of_point(q)) < 1e-10, (tag, tau)
+                assert q.curve_residual(EValues(*evalues_from_tau(q.tau))) < 1e-10, (tag, tau)
 
     def test_parabolic_image(self):
         p = CurvePoint(x=1.0, y=1.0, tau=0.5 + 0j)
