@@ -242,10 +242,11 @@ def lambda_of_tau(tau: complex) -> complex:
     return (t2 / t3) ** 4
 
 
-def _lattice_remainder(u: complex, p1: complex, p2: complex) -> float:
-    """Distance from u to the lattice Z*p1 + Z*p2; NonConvergence for a non-finite u."""
+def _lattice_remainder(u: complex, p1: complex, p2: complex, origin: complex = 0j) -> float:
+    """Distance from u to origin + Z*p1 + Z*p2; NonConvergence naming u for a non-finite u."""
     if not cmath.isfinite(u):
         raise NonConvergence(f"argument u = {u} is not finite")
+    u = u - origin
     det = p1.real * p2.imag - p1.imag * p2.real
     a = (u.real * p2.imag - u.imag * p2.real) / det
     b = (p1.real * u.imag - p1.imag * u.real) / det
@@ -274,7 +275,7 @@ def pole_distance(code: str, u: complex, k: complex) -> float:
     half-period named by its second letter, modulo (2K, 2iK')."""
     md = ModulusData.from_modulus(k)
     off = singular_points(k)[_LETTERS.index(code[1])]
-    return _lattice_remainder(complex(u) - off, 2 * md.K, 2j * md.Kp)
+    return _lattice_remainder(complex(u), 2 * md.K, 2j * md.Kp, off)
 
 
 def _refuse_zero(what: str, *dens) -> None:

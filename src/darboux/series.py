@@ -38,7 +38,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,21 +83,21 @@ def _check_log_case(xi: complex) -> None:
         raise LogarithmicCase(f"xi = {xi} is in {{-3/2, -5/2, ...}}")
 
 
-@lru_cache(maxsize=16, typed=True)
-def _weights(xi, eta, mu, nu, k, variant: str, n: int):
-    """The h-free recursion table for m = 0..n-1: the three diagonals of the
-    truncation matrix J as tuples M, D, K of Python scalars, with
+def _weights(p: ParamTuple, variant: str, n: int):
+    """The h-free recursion table of p for m = 0..n-1: the three diagonals of
+    the truncation matrix J as tuples M, D, K of Python scalars, with
     L_m = h - D[m] (D_m = A_m + B_m - c: the two squares of L_m and the
-    paper variant's constant c).  ``_tables`` rounds n up to a power of two
-    of at least 512, so a 200-term series and its depth-400 fraction share
-    one build; h is not in the key, the type of each parameter is (0, 0.0
-    and 0j give int, float and complex entries).  A build holds at most
-    3 n Python scalars, about 120 n bytes: 16 builds of n <= 1024 (depth
-    800) stay within 2 MB.  Int tables that could pass int64 are built in
-    float (each entry is at most 4 b^2 max(1, |k^2|), with b bounding every
-    linear factor); tables beyond the float range raise CoefficientOverflow."""
+    paper variant's constant c).  Each public entry point builds it once,
+    for the largest index it reads, and passes it down; an entry does not
+    depend on n.  The entries take the parameters' types (0, 0.0 and 0j
+    give int, float and complex entries).  Int tables that could pass int64
+    are built in float (each entry is at most 4 b^2 max(1, |k^2|), with b
+    bounding every linear factor); tables beyond the float range raise
+    CoefficientOverflow."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    xi, eta, mu, nu = p.exponents
+    k = p.k
     if not all(cmath.isfinite(g) for g in (xi, eta, mu, nu)):
         raise NonFiniteExponent(f"exponents {(xi, eta, mu, nu)} are not all finite")
     _check_log_case(xi)
@@ -121,11 +120,6 @@ def _weights(xi, eta, mu, nu, k, variant: str, n: int):
     return tuple(M.tolist()), tuple(D.tolist()), tuple(K.tolist())
 
 
-def _tables(p: ParamTuple, variant: str, n: int):
-    """``_weights`` of p with at least n entries."""
-    return _weights(*p.exponents, p.k, variant, max(512, 1 << int(n - 1).bit_length()))
-
-
 def _check_h(h: complex) -> None:
     if not cmath.isfinite(h):
         raise NonFiniteExponent(f"accessory parameter h = {h} is not finite")
@@ -135,7 +129,7 @@ def recursion_coeffs(m: int, p: ParamTuple, variant: str = "corrected") -> Recur
     """Weights (M_m, L_m, K_m) of the three-term recursion at index m."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    M, D, K = _tables(p, variant, m + 1)
+    M, D, K = _weights(p, variant, m + 1)
     _check_h(p.h)
     return RecursionCoeffs(M=M[m], L=p.h - D[m], K=K[m])
 
@@ -165,7 +159,7 @@ class SeriesCoefficients:
 
     True coefficient: values[m] * 2**exps[m].  Rescaling keeps the stored
     mantissas representable when a generic (non-eigen) accessory parameter
-    drives geometric growth.
+    drives geometric growth.  ``radius``: the certified radius in |sn u|.
     """
 
     values: np.ndarray
@@ -173,6 +167,7 @@ class SeriesCoefficients:
     variant: str
     mode: str
     terminated_at: int | None
+    radius: float
 
     def __len__(self) -> int:
         return len(self.values)
@@ -210,20 +205,29 @@ def dl_coefficients(
     ``"auto"``
         ``minimal`` when the tuple does not terminate and h sits within
         1e-8 of a root of that same fraction; ``forward`` otherwise.
+
+    The radius is inf for a terminated series, max(1, |k|^-1) for minimal
+    coefficients at a root and min(1, |k|^-1) otherwise (forward ones follow
+    the dominant solution, also at a root).
     """
     if mode not in ("auto", "forward", "minimal"):
         raise ValueError(f"unknown mode {mode!r}")
     if N < 0:
         raise ValueError("N must be >= 0")
-    if mode != "forward" and termination_check(p) is None:
-        g, tails = _cf_pass(p.h, p, _root_depth(N), variant)
-        if mode == "minimal" or abs(g) < _ROOT_TOL:
-            vals = [1.0 + 0j]
-            for t in tails[1 : N + 1]:
-                vals.append(-t * vals[-1])
-            return SeriesCoefficients(values=_finite(vals), exps=np.zeros(N + 1, dtype=np.int64),
-                                      variant=variant, mode="minimal", terminated_at=None)
-    return _coefficients_forward(p, N, variant)
+    if mode == "forward" or termination_check(p) is not None:
+        return _coefficients_forward(p, _weights(p, variant, N), N, variant)
+    depth = max(2 * N, 200)     # the fraction depth that decides whether h sits on a root
+    tables = _weights(p, variant, depth + 1)
+    g, tails = _cf_pass(p.h, tables, depth)
+    root = abs(g) < _ROOT_TOL
+    if mode == "auto" and not root:
+        return _coefficients_forward(p, tables, N, variant)
+    vals = [1.0 + 0j]
+    for t in tails[1 : N + 1]:
+        vals.append(-t * vals[-1])
+    radius = max(1.0, 1.0 / abs(p.k)) if root else min(1.0, 1.0 / abs(p.k))
+    return SeriesCoefficients(values=_finite(vals), exps=np.zeros(N + 1, dtype=np.int64), variant=variant,
+                              mode="minimal", terminated_at=None, radius=radius)
 
 
 def _finite(vals: list) -> np.ndarray:
@@ -234,8 +238,8 @@ def _finite(vals: list) -> np.ndarray:
     return values
 
 
-def _coefficients_forward(p: ParamTuple, N: int, variant: str) -> SeriesCoefficients:
-    M, D, K = _tables(p, variant, N)
+def _coefficients_forward(p: ParamTuple, tables, N: int, variant: str) -> SeriesCoefficients:
+    M, D, K = tables
     h = p.h
     _check_h(h)
     prev, cur, e = 0j, 1.0 + 0j, 0          # C_{m-1}, C_m at the common scale 2^e
@@ -250,7 +254,9 @@ def _coefficients_forward(p: ParamTuple, N: int, variant: str) -> SeriesCoeffici
         es.append(e)
     values, exps = _finite(vals), np.array(es, dtype=np.int64)
     term = _detect_termination(p, values, exps)
-    return SeriesCoefficients(values=values, exps=exps, variant=variant, mode="forward", terminated_at=term)
+    radius = math.inf if term is not None else min(1.0, 1.0 / abs(p.k))
+    return SeriesCoefficients(values=values, exps=exps, variant=variant, mode="forward",
+                              terminated_at=term, radius=radius)
 
 
 def _detect_termination(p: ParamTuple, values: np.ndarray, exps: np.ndarray) -> int | None:
@@ -265,10 +271,10 @@ def _detect_termination(p: ParamTuple, values: np.ndarray, exps: np.ndarray) -> 
     return None
 
 
-def _truncation_matrix(p: ParamTuple, n: int, variant: str) -> np.ndarray:
+def _truncation_matrix(tables, n: int) -> np.ndarray:
     """The tridiagonal J_n of the recursion cut at C_n = 0 (L_m = h - J[m, m]);
     its eigenvalues are the zeros of the continued fraction at depth n-1."""
-    M, D, K = _tables(p, variant, n)
+    M, D, K = tables
     J = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(J, D[:n])
     np.fill_diagonal(J[:, 1:], np.negative(M[: n - 1]))
@@ -310,7 +316,7 @@ def polynomial_eigenvalues(p: ParamTuple, q: int, variant: str = "corrected") ->
     qt = termination_check(p)
     if qt is None or qt != q:
         raise DegenerateRecursion(f"termination relation does not hold with q = {q} (got {qt})")
-    eig = _tridiagonal_eigvals(_truncation_matrix(p, q + 1, variant))
+    eig = _tridiagonal_eigvals(_truncation_matrix(_weights(p, variant, q + 1), q + 1))
     return eig[np.argsort(eig.real + 1e-9 * eig.imag)]
 
 
@@ -323,11 +329,12 @@ class CFValue:
     change_from_half_depth: float
 
 
-def _cf_pass(h: complex, p: ParamTuple, depth: int, variant: str) -> tuple[complex, list]:
-    """One backward pass of the continued fraction over the cached tables: its
-    value and its tails t_j = (K_j/M_j)/(L_j/M_j - t_{j+1}) = -C_j/C_{j-1} of
-    the minimal solution, in tails[1..depth]."""
-    M, D, K = _tables(p, variant, depth + 1)
+def _cf_pass(h: complex, tables, depth: int) -> tuple[complex, list]:
+    """One backward pass of the continued fraction over the tables (at least
+    depth + 1 entries): its value and its tails
+    t_j = (K_j/M_j)/(L_j/M_j - t_{j+1}) = -C_j/C_{j-1} of the minimal
+    solution, in tails[1..depth]."""
+    M, D, K = tables
     _check_h(h)
     tails = [0j] * (depth + 1)
     tail = 0j
@@ -339,19 +346,14 @@ def _cf_pass(h: complex, p: ParamTuple, depth: int, variant: str) -> tuple[compl
     return (h - D[0]) / M[0] - tail, tails
 
 
-def _cf_raw(h: complex, p: ParamTuple, depth: int, variant: str) -> complex:
+def _cf_raw(h: complex, tables, depth: int) -> complex:
     """The value of the continued fraction at `depth`."""
-    return _cf_pass(h, p, depth, variant)[0]
+    return _cf_pass(h, tables, depth)[0]
 
 
-def _is_cf_root(h: complex, p: ParamTuple, depth: int, variant: str) -> bool:
+def _is_cf_root(h: complex, tables, depth: int) -> bool:
     """Whether the continued fraction at `depth` vanishes at h, to _ROOT_TOL."""
-    return abs(_cf_raw(h, p, depth, variant)) < _ROOT_TOL
-
-
-def _root_depth(N: int) -> int:
-    """The fraction depth that decides whether an N-term series sits on a root."""
-    return max(2 * N, 200)
+    return abs(_cf_raw(h, tables, depth)) < _ROOT_TOL
 
 
 def infinite_cf(h: complex, p: ParamTuple, depth: int = 400, variant: str = "corrected") -> CFValue:
@@ -363,8 +365,9 @@ def infinite_cf(h: complex, p: ParamTuple, depth: int = 400, variant: str = "cor
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    g = _cf_raw(h, p, depth, variant)
-    g_half = _cf_raw(h, p, max(1, depth // 2), variant)
+    tables = _weights(p, variant, depth + 1)
+    g = _cf_raw(h, tables, depth)
+    g_half = _cf_raw(h, tables, max(1, depth // 2))
     return CFValue(value=g, depth=depth, change_from_half_depth=abs(g - g_half))
 
 
@@ -395,23 +398,24 @@ def darboux_function_eigenvalues(
         raise ValueError(f"region {region}: each lower bound must be at most its upper bound")
     q = termination_check(p)
     top = depth + 1 if q is None else min(depth, q) + 1
+    tables = _weights(p, variant, 2 * depth + 1)
     prev, n = None, 32
     while True:
-        found, resolved = _matrix_roots(p, min(n, top), box, depth, variant, tol)
+        found, resolved = _matrix_roots(tables, min(n, top), box, depth, tol)
         if n >= top or (resolved and prev is not None and len(found) == len(prev)
                         and all(np.isclose(r, prev, rtol=1e-8, atol=1e-8).any() for r in found)):
             break
         prev, n = found if resolved else None, 2 * n
     stable = []
     for r in found:
-        r2 = _polish_root(p, r, 2 * depth, variant, tol)
+        r2 = _polish_root(tables, r, 2 * depth, tol)
         if abs(r2 - r) > 100 * tol * max(1.0, abs(r)):
             raise DepthUnstable(f"root {r} moved by {abs(r2 - r):.3e} when depth doubled")
         stable.append(r2)
     return sorted(stable, key=lambda z: (z.real, z.imag))
 
 
-def _matrix_roots(p, n, box, depth, variant, tol) -> tuple[list[complex], bool]:
+def _matrix_roots(tables, n, box, depth, tol) -> tuple[list[complex], bool]:
     """The distinct zeros of g at `depth` in the box (|g| < 1e-8), polished
     from the eigenvalues of J_n in or near it, and whether each of those
     polished onto a root within 1% of itself.  (Near a high eigenvalue g
@@ -421,10 +425,10 @@ def _matrix_roots(p, n, box, depth, variant, tol) -> tuple[list[complex], bool]:
     pad = max(1.0, rh - rl, ih - il)
     roots: list[complex] = []
     resolved = True
-    for e in _tridiagonal_eigvals(_truncation_matrix(p, n, variant)):
+    for e in _tridiagonal_eigvals(_truncation_matrix(tables, n)):
         if not (rl - pad <= e.real <= rh + pad and il - pad <= e.imag <= ih + pad):
             continue
-        r = _polish_root(p, complex(e), depth, variant, tol)
+        r = _polish_root(tables, complex(e), depth, tol)
         resolved = resolved and abs(r - e) <= 1e-2 * max(1.0, abs(e))
         # a root within tol of the region's imaginary range is put on it:
         # a real interval gets real roots
@@ -434,19 +438,19 @@ def _matrix_roots(p, n, box, depth, variant, tol) -> tuple[list[complex], bool]:
         if (
             rl <= r.real <= rh
             and il <= r.imag <= ih
-            and _is_cf_root(r, p, depth, variant)
+            and _is_cf_root(r, tables, depth)
             and not np.isclose(r, roots, rtol=1e-8, atol=1e-8).any()
         ):
             roots.append(r)
     return roots, resolved
 
 
-def _polish_root(p, r, depth, variant, tol) -> complex:
+def _polish_root(tables, r, depth, tol) -> complex:
     # complex secant iteration
     x0, x1 = r + 10 * tol, r
-    f0 = _cf_raw(x0, p, depth, variant)
+    f0 = _cf_raw(x0, tables, depth)
     for _ in range(60):
-        f1 = _cf_raw(x1, p, depth, variant)
+        f1 = _cf_raw(x1, tables, depth)
         if f1 == f0:
             break
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
@@ -466,13 +470,12 @@ def convergence_domain(p: ParamTuple, h: complex, depth: int = 400, variant: str
     ak = abs(p.k)
     if abs(ak - 1.0) < 1e-12:
         raise ModulusOnUnitCircle("|k| = 1: convergence radii coincide")
-    pz = ParamTuple(*p.exponents, h=h, k=p.k)
-    q = termination_check(pz)
+    q = termination_check(p)      # p.h is not read: the tables and J are h-free
     if q is not None:
-        eigs = polynomial_eigenvalues(pz, q, variant)
+        eigs = polynomial_eigenvalues(p, q, variant)
         if any(abs(h - e) < 1e-8 * max(1.0, abs(e)) for e in eigs):
             return math.inf
-    if _is_cf_root(h, pz, depth, variant):
+    if _is_cf_root(h, _weights(p, variant, depth + 1), depth):
         return max(1.0, 1.0 / ak)
     return min(1.0, 1.0 / ak)
 
@@ -585,8 +588,9 @@ def dl_eval(
     |sn u| is not strictly inside the certified radius (its ``index`` names
     the first such point of an array), PoleProximity when a prefactor base
     vanishes under a negative exponent, NonConvergence when the sum is not
-    finite.  With ``detail=True`` returns a DlValue carrying a geometric
-    tail bound estimated from the dominant Poincare ratio.
+    finite.  The certified radius is ``coeffs.radius``.  With ``detail=True``
+    returns a DlValue carrying a geometric tail bound estimated from the
+    Poincare ratio |sn u|^2 / radius^2.
     """
     if coeffs is None:
         coeffs = dl_coefficients(p, N, variant=variant, mode=mode)
@@ -594,16 +598,12 @@ def dl_eval(
     sn, cn, dn = (np.asarray(x, complex).ravel() for x in jacobi_sn_cn_dn(u, p.k))
     s2 = sn * sn
     asn = np.abs(sn)
-    outside = asn >= min(1.0, 1.0 / abs(p.k))
-    if coeffs.terminated_at is None and outside.any():
-        # the larger domain applies only on the vanishing-CF locus
-        if _is_cf_root(p.h, p, _root_depth(len(coeffs) - 1), variant):
-            outside = asn >= max(1.0, 1.0 / abs(p.k))
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise OutsideConvergence(
-                f"|sn u| = {asn[i]:.6f} outside certified radius", index=None if scalar else i
-            )
+    outside = asn >= coeffs.radius
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutsideConvergence(
+            f"|sn u| = {asn[i]:.6f} outside certified radius", index=None if scalar else i
+        )
     xi, eta, mu, nu = p.exponents
     pref = np.ones(sn.shape, complex)
     for base, expo in ((sn, xi + 1), (cn, eta + 1), (dn, mu + 1)):
@@ -618,12 +618,9 @@ def dl_eval(
     value = pref * total
     if not np.isfinite(value).all():
         raise NonConvergence("series sum is not finite")
-    if coeffs.terminated_at is not None:
-        tail = np.zeros(sn.shape)
-    else:
-        rho = np.abs(s2) * max(1.0, abs(p.k) ** 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(rho < 1, last * rho / (1 - rho) * np.abs(pref), math.inf)
+    rho = np.abs(s2) / coeffs.radius**2      # 0 for a terminated series
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where(rho < 1, last * rho / (1 - rho) * np.abs(pref), math.inf)
     if scalar:
         value, tail = complex(value[0]), float(tail[0])
     else:

@@ -66,7 +66,7 @@ def oracle_forward(p, N, variant):
     exps = np.zeros(N + 1, dtype=np.int64)
     values[0] = 1.0
     prev, cur, e = 0j, 1.0 + 0j, 0
-    M, D, K = series._tables(p, variant, N)
+    M, D, K = series._weights(p, variant, N)
     for m in range(N):
         if M[m] == 0:
             raise DegenerateRecursion(f"M_{m} = 0")
@@ -99,7 +99,7 @@ def oracle_forward(p, N, variant):
 
 def oracle_cf_tails(h, p, depth, variant):
     """The backward continued fraction and its tails t_1..t_depth (tails[j] = t_j)."""
-    M, D, K = series._tables(p, variant, depth + 1)
+    M, D, K = series._weights(p, variant, depth + 1)
     tails = [0j] * (depth + 1)
     tail = 0j
     for j in range(depth, 0, -1):
@@ -130,7 +130,7 @@ def oracle_minimal(p, N, variant):
 
 
 def oracle_matrix(p, n, variant):
-    M, D, K = series._tables(p, variant, n)
+    M, D, K = series._weights(p, variant, n)
     J = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(J, D[:n])
     np.fill_diagonal(J[:, 1:], [-x for x in M[: n - 1]])
@@ -159,6 +159,10 @@ def same_bits(a, b) -> bool:
     return type(a) is type(b) and repr(a) == repr(b)    # repr tells -0.0 from 0.0
 
 
+def kernel_cf(h, p, depth, variant):
+    return _cf_raw(h, series._weights(p, variant, depth + 1), depth)
+
+
 def coefficient_outcome(p, N, variant, mode):
     out = outcome(dl_coefficients, p, N, variant, mode)
     return (out.values, out.exps, out.terminated_at) if isinstance(out, series.SeriesCoefficients) else out
@@ -184,7 +188,7 @@ TABLE_ULPS = 4
 @given(exps=st.tuples(exponent, exponent, exponent, exponent), k=modulus, variant=st.sampled_from(VARIANTS))
 def test_tables_match_the_list_oracle_within_ulps(exps, k, variant):
     p = ParamTuple(*exps, h=0.0, k=k)
-    got = outcome(series._tables, p, variant, 300)
+    got = outcome(series._weights, p, variant, 300)
     want = outcome(oracle_weights, p.exponents, p.k, variant, 300)
     if isinstance(got[0], str) or isinstance(want[0], str):   # refused, the same way
         assert got == want
@@ -215,10 +219,10 @@ def test_kernel_matches_list_oracle_bit_for_bit(exps, k, h, variant, N, q):
     assert same_bits(coefficient_outcome(p, N, variant, "forward"), outcome(oracle_forward, p, N, variant))
     assert same_bits(coefficient_outcome(p, N, variant, "minimal"), outcome(oracle_minimal, p, N, variant))
     for depth in (1, 37, 400):
-        assert same_bits(outcome(_cf_raw, h, p, depth, variant), outcome(oracle_cf, h, p, depth, variant))
+        assert same_bits(outcome(kernel_cf, h, p, depth, variant), outcome(oracle_cf, h, p, depth, variant))
     for m in (0, 5, 300):
         got = outcome(recursion_coeffs, m, p, variant)
-        want = outcome(series._tables, p, variant, m + 1)
+        want = outcome(series._weights, p, variant, m + 1)
         if isinstance(got, series.RecursionCoeffs):
             M, D, K = want
             got, want = (got.M, got.L, got.K), (M[m], h - D[m], K[m])
@@ -232,29 +236,65 @@ def test_kernel_matches_list_oracle_bit_for_bit(exps, k, h, variant, N, q):
         assert same_bits(outcome(polynomial_eigenvalues, p, qt, variant), want)
 
 
-def test_auto_mode_builds_the_tables_once():
-    p = ParamTuple(0.123456789, 0.2, 0.3, 1.5, 5.44, k=0.6)   # a tuple no other test uses
-    before = series._weights.cache_info().misses
-    dl_coefficients(p, 200)
-    assert series._weights.cache_info().misses - before == 1
+@pytest.fixture
+def builds(monkeypatch):
+    """The sizes of the tables that ``_weights`` builds."""
+    sizes, build = [], series._weights
+    monkeypatch.setattr(series, "_weights", lambda p, variant, n: sizes.append(n) or build(p, variant, n))
+    return sizes
 
 
-@pytest.mark.parametrize("order", [(0, 0.0), (0.0, 0)])
-def test_cached_tables_keep_the_parameter_types(order):
-    # 0 and 0.0 are equal and hash alike; a build must not depend on which came first
-    series._weights.cache_clear()
-    for zero in order:
-        p = ParamTuple(zero, zero, zero, zero, zero, k=0.05)
-        assert type(recursion_coeffs(0, p).M) is type(zero)
-        assert {type(x) for x in series._tables(p, "corrected", 10)[0]} == {type(zero)}
+def test_auto_mode_builds_the_tables_once(builds):
+    # one build serves the depth-400 fraction and the forward pass it falls back to
+    coeffs = dl_coefficients(ParamTuple(0.1, 0.2, 0.3, 1.5, 5.44, k=0.6), 200)
+    assert coeffs.mode == "forward" and builds == [401]
 
 
-def test_cached_tables_are_read_only():
-    tables = series._tables(ParamTuple(0.1, 0.2, 0.3, 1.5, 0.0, k=0.6), "corrected", 10)
-    assert len(tables) == 3
-    for table in tables:
-        with pytest.raises(TypeError):
-            table[0] = 1.0
+LAME = ParamTuple(0, 0, 0, 1, 0.0, k=0.6)
+LAME_ROOT = ParamTuple(0, 0, 0, 1, 3.6066522808608408, k=0.6)   # the Lame root on (0, 12)
+TERMINATING = ParamTuple(0, 0, 0, 7, 0.0, k=0.6)                 # q = 2
+
+
+@pytest.mark.parametrize("call, size", [
+    (lambda: dl_coefficients(LAME_ROOT, 200, mode="forward"), 200),
+    (lambda: dl_coefficients(LAME_ROOT, 200, mode="auto"), 401),
+    (lambda: dl_coefficients(LAME_ROOT, 200, mode="minimal"), 401),
+    (lambda: dl_coefficients(LAME_ROOT, 30, mode="auto"), 201),
+    (lambda: dl_coefficients(TERMINATING, 200, mode="minimal"), 200),
+    (lambda: series.darboux_function_eigenvalues(LAME, (0.0, 12.0), depth=400), 801),
+    (lambda: infinite_cf(5.0, LAME, depth=300), 301),
+    (lambda: polynomial_eigenvalues(TERMINATING, 2), 3),
+    (lambda: recursion_coeffs(7, LAME), 8),
+    (lambda: series.convergence_domain(LAME, 5.0, depth=400), 401),
+], ids=["forward", "auto", "minimal", "auto-N30", "terminating", "function-eigenvalues",
+        "infinite-cf", "polynomial-eigenvalues", "recursion-coeffs", "convergence-domain"])
+def test_one_table_per_call_sized_to_what_it_reads(builds, call, size):
+    call()
+    assert builds == [size]
+
+
+def test_evaluation_with_coefficients_builds_no_table(builds):
+    coeffs = dl_coefficients(LAME_ROOT, 200)
+    builds.clear()
+    series.dl_eval(LAME_ROOT, np.array([0.3, 2.5 + 1j]), coeffs=coeffs)
+    assert builds == []
+
+
+@pytest.mark.parametrize("zero", [0, 0.0])
+def test_tables_keep_the_parameter_types(zero):
+    p = ParamTuple(zero, zero, zero, zero, zero, k=0.05)
+    assert type(recursion_coeffs(0, p).M) is type(zero)
+    assert {type(x) for x in series._weights(p, "corrected", 10)[0]} == {type(zero)}
+
+
+@pytest.mark.parametrize("exps, k", [((0.1, 0.2, 0.3, 1.5), 0.6), ((0.4, -0.3, 1.1, 2.7j), 0.5 + 0.8j),
+                                     ((1, 0, 2, 3), 1.7), ((0, 0, 0, 1), 0.6)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_an_entry_does_not_depend_on_the_table_length(exps, k, variant):
+    p = ParamTuple(*exps, 0.0, k=k)
+    full = series._weights(p, variant, 1024)
+    for n in (0, 1, 7, 33, 200, 401, 801):
+        assert same_bits(series._weights(p, variant, n), tuple(t[:n] for t in full))
 
 
 # --------------------------------------------------------------------------

@@ -183,6 +183,33 @@ class TestDlEval:
         res = dl_eval(P(0.2, 0.1, 0.4, 0.9, h=1.2), 0.4, detail=True)
         assert res.tail_bound < 1e-12
 
+    # the Lame root on (0, 12) at k = 0.6, and a point with |sn u| = 1.29,
+    # inside 1/k but outside 1
+    LAME_ROOT = P(0, 0, 0, 1, h=3.6066522808608408)
+    BEYOND_ONE = complete_elliptic(K)[0].real + 1j
+
+    def test_coefficients_carry_their_radius(self):
+        assert dl_coefficients(self.LAME_ROOT, 200, mode="forward").radius == 1.0
+        assert dl_coefficients(self.LAME_ROOT, 200, mode="auto").radius == 1 / K
+        assert dl_coefficients(P(0.2, 0.1, 0.4, 0.9, h=1.2), 200, mode="minimal").radius == 1.0
+        assert dl_coefficients(P(0, 0, 0, 3, h=4 * (1 + K * K)), 200).radius == math.inf
+
+    def test_forward_coefficients_at_a_root_keep_the_smaller_radius(self):
+        # they follow the dominant solution: at N = 200 they would sum to ~1e27j
+        coeffs = dl_coefficients(self.LAME_ROOT, 200, mode="forward")
+        with pytest.raises(OutsideConvergence):
+            dl_eval(self.LAME_ROOT, self.BEYOND_ONE, coeffs=coeffs)
+        for mode in ("auto", "minimal"):
+            value = dl_eval(self.LAME_ROOT, self.BEYOND_ONE, mode=mode)
+            assert value == pytest.approx(-1.4149117507375726j, abs=1e-12)
+
+    def test_minimal_tail_bound_uses_the_minimal_ratio(self):
+        # rho = |sn u|^2 k^2 = 0.60 there, not |sn u|^2 > 1
+        res = dl_eval(self.LAME_ROOT, self.BEYOND_ONE, detail=True)
+        change = abs(dl_eval(self.LAME_ROOT, self.BEYOND_ONE, N=200)
+                     - dl_eval(self.LAME_ROOT, self.BEYOND_ONE, N=400))
+        assert math.isfinite(res.tail_bound) and res.tail_bound >= change
+
     def test_renormalized_big_modulus(self):
         # kappa = 1/k with k = 0.3: coefficient growth |kappa|^2m needs the
         # power-of-two rescaling at N = 400
@@ -283,7 +310,7 @@ class TestScanner:
         orders = []
         build = series._truncation_matrix
         monkeypatch.setattr(series, "_truncation_matrix",
-                            lambda p, n, variant: orders.append(n) or build(p, n, variant))
+                            lambda tables, n: orders.append(n) or build(tables, n))
         roots = darboux_function_eigenvalues(P(*exps), region, depth=400)
         assert termination_check(P(*exps)) == q and max(orders) == q + 1
         assert roots == pytest.approx(expected, abs=1e-12)
@@ -350,7 +377,7 @@ class TestScanner:
         p = P(*exps, k=k)
         region = ((lo, lo + width), (-height, height)) if height else (lo, lo + width)
         box = region if height else (region, (0.0, 0.0))
-        full, _ = _matrix_roots(p, 401, box, 400, "corrected", 1e-10)
+        full, _ = _matrix_roots(series._weights(p, "corrected", 401), 401, box, 400, 1e-10)
         roots = darboux_function_eigenvalues(p, region, depth=400)
         assert roots == pytest.approx(sorted(full, key=lambda z: (z.real, z.imag)), abs=1e-8)
 
@@ -393,7 +420,7 @@ class TestTridiagonalEigvals:
         ((2.9, 2.9, 2.9, 0.1), 0.95),
     ])
     def test_symmetric_path_matches_dense_eigvals(self, exps, k, n):
-        J = series._truncation_matrix(P(*exps, k=k), n, "corrected")
+        J = series._truncation_matrix(series._weights(P(*exps, k=k), "corrected", n), n)
         assert (np.diagonal(J, 1) * np.diagonal(J, -1)).real.min(initial=1.0) > 0
         got = np.sort(series._tridiagonal_eigvals(J))
         want = np.linalg.eigvals(J)
@@ -407,7 +434,7 @@ class TestTridiagonalEigvals:
         ((-0.4, -0.2, -0.35, 2.5), 0.85),
     ])
     def test_real_path_with_negative_product_matches_dense_eigvals(self, monkeypatch, exps, k, n):
-        J = series._truncation_matrix(P(*exps, k=k), n, "corrected")
+        J = series._truncation_matrix(series._weights(P(*exps, k=k), "corrected", n), n)
         assert (np.diagonal(J, 1) * np.diagonal(J, -1)).real[0] < 0
         solve, solved = np.linalg.eigvals, []
         want = solve(J)

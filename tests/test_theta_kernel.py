@@ -278,3 +278,8 @@ def test_nonfinite_argument_refused_by_the_pole_guards(bad):
                  lambda: ode_residual(np.sin, p, [bad])):
         with pytest.raises(NonConvergence, match=r"^argument u = .* is not finite$"):
             call()
+    # the caller's u, not u less the half-period that holds the glyph's poles
+    for code in ("sn", "ns", "dc"):
+        with pytest.raises(NonConvergence) as info:
+            elliptic.jacobi(code, bad, 0.6)
+        assert str(info.value) == f"argument u = {complex(bad)} is not finite"

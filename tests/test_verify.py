@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -309,6 +310,35 @@ class TestFrozenData:
                         (DATA_DIR / "transform_rows.jsonl").read_text().splitlines() if line]
         assert json.loads(json.dumps(anh_records)) == shipped_anh
         assert json.loads(json.dumps(row_records)) == shipped_rows
+
+    #: The gate each repair record's max_error was adopted at, by table.
+    REPAIR_GATES = {"joint": 1e-10, "quarter": 1e-10, "lambda": 1e-10, "rho": 1e-8}
+
+    @staticmethod
+    def _shipped(name):
+        return [json.loads(line) for line in (DOCS_DIR / name).read_text().splitlines() if line]
+
+    def test_shipped_repair_log_matches_the_harness(self):
+        # the floats follow the last bits of the kernels; each stays on its side of its gate
+        _, _, report = regenerate_tables()
+        fresh = [json.loads(r.as_json()) for r in report.records if r.status != "ok"]
+        shipped = self._shipped("table_repairs.jsonl")
+        assert len(fresh) == len(shipped)
+        for got, want in zip(fresh, shipped):
+            err, gate = got.pop("max_error"), self.REPAIR_GATES[got["table"]]
+            assert got == {f: v for f, v in want.items() if f != "max_error"}
+            assert (math.isnan(err), err < gate) == (math.isnan(want["max_error"]), want["max_error"] < gate)
+
+    def test_shipped_variant_evidence_matches_the_adjudicator(self):
+        verdict, evidence = lvariant_adjudicator()
+        head, *shipped = self._shipped("lvariant_evidence.jsonl")
+        assert head == {"verdict": verdict} and len(shipped) == len(evidence)
+        for e, want in zip(evidence, shipped):
+            got = json.loads(e.as_json())
+            res, eig = got.pop("residual"), complex(got.pop("eigenvalue"))
+            assert got == {f: v for f, v in want.items() if f not in ("residual", "eigenvalue")}
+            assert eig == pytest.approx(complex(want["eigenvalue"]), rel=1e-12)
+            assert (res <= 1e-6) == (want["residual"] <= 1e-6)   # the adjudicator's accept gate
 
     def test_repair_log_versioned(self):
         text = (DOCS_DIR / "table_repairs.jsonl").read_text()
