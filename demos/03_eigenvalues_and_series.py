@@ -47,9 +47,10 @@ print(f"  sncndn= {sn * cn * dn:.15f}")
 print("\nnon-terminating spectrum: roots of the infinite continued fraction")
 p = ParamTuple(0, 0, 0, 1, h=0.0, k=k)
 roots = darboux_function_eigenvalues(p, (0.0, 12.0), depth=400)
-print(f"  roots in (0, 12) at depth 400: {[f'{r.real:.10f}' for r in roots]}")
+print(f"  roots in (0, 12), depth cap 400: {[f'{r.real:.10f}' for r in roots]}")
 hhat = roots[0]
-print(f"  |g(hhat)| at depth 800 = {abs(infinite_cf(hhat, p, 800).value):.2e}")
+cf = infinite_cf(hhat, p, 800)
+print(f"  |g(hhat)| = {abs(cf.value):.2e} after {cf.depth} levels (cap 800, truncation bound {cf.truncation_bound:.1e})")
 print(f"  convergence radius at generic h : {convergence_domain(p, 0.77)}")
 print(f"  convergence radius at h = hhat  : {convergence_domain(p, hhat):.6f} (= 1/k)")
 

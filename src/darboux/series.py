@@ -29,14 +29,15 @@ fraction built from the recursion vanishes (Darboux functions); then the
 coefficient ratio C_{m+1}/C_m tends to the minimal root of
 t^2 - (1+k^2) t + k^2 instead of the dominant one (Poincare/Perron).  The
 coefficients are then the recursion's minimal solution, the products of
-the fraction's tails (Pincherle), from the same backward pass that finds
-the root.
+the fraction's tails (Pincherle), from one backward pass of the fraction
+whose root h is.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +205,8 @@ def dl_coefficients(
         forward pass.  Raises ZeroPivot if a partial denominator vanishes.
     ``"auto"``
         ``minimal`` when the tuple does not terminate and h sits within
-        1e-8 of a root of that same fraction; ``forward`` otherwise.
+        1e-8 of a root of that same fraction, at the depth it needs up to
+        max(2N, 200) (see ``_cf_value``); ``forward`` otherwise.
 
     The radius is inf for a terminated series, max(1, |k|^-1) for minimal
     coefficients at a root and min(1, |k|^-1) otherwise (forward ones follow
@@ -216,12 +218,12 @@ def dl_coefficients(
         raise ValueError("N must be >= 0")
     if mode == "forward" or termination_check(p) is not None:
         return _coefficients_forward(p, _weights(p, variant, N), N, variant)
-    depth = max(2 * N, 200)     # the fraction depth that decides whether h sits on a root
+    depth = max(2 * N, 200)     # the fraction's depth cap, and the depth of its tails
     tables = _weights(p, variant, depth + 1)
-    g, tails = _cf_pass(p.h, tables, depth)
-    root = abs(g) < _ROOT_TOL
-    if mode == "auto" and not root:
+    if mode == "auto" and not _is_cf_root(p.h, tables, depth):
         return _coefficients_forward(p, tables, N, variant)
+    g, _, _, tails = _cf_pass(p.h, tables, depth, tails=True)
+    root = abs(g) < _ROOT_TOL
     vals = [1.0 + 0j]
     for t in tails[1 : N + 1]:
         vals.append(-t * vals[-1])
@@ -322,53 +324,112 @@ def polynomial_eigenvalues(p: ParamTuple, q: int, variant: str = "corrected") ->
 
 @dataclass(frozen=True)
 class CFValue:
-    """Truncated infinite continued fraction and its convergence indicator."""
+    """The infinite continued fraction, truncated where its truncation bound
+    accepted it: its value, the levels used and that bound."""
 
     value: complex
     depth: int
-    change_from_half_depth: float
+    truncation_bound: float
 
 
-def _cf_pass(h: complex, tables, depth: int) -> tuple[complex, list]:
+#: Relative accuracy the adaptive fraction aims at: 2^-52 of |l_0| + |t_1|.
+_CF_EPS = 2.0**-52
+#: Start depth of the adaptive fraction beyond its geometric estimate, and its floor.
+_CF_MARGIN = 8
+
+
+def _check_depth(depth) -> None:
+    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 1:
+        raise ValueError(f"depth must be an int >= 1, got {depth!r}")
+
+
+def _check_tol(tol) -> None:
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
+def _cf_pass(h: complex, tables, depth: int, tails: bool = False) -> tuple[complex, complex, float, list | None]:
     """One backward pass of the continued fraction over the tables (at least
-    depth + 1 entries): its value and its tails
-    t_j = (K_j/M_j)/(L_j/M_j - t_{j+1}) = -C_j/C_{j-1} of the minimal
-    solution, in tails[1..depth]."""
+    depth + 1 entries).  Returns its value g, its slope g' = dg/dh, the
+    sensitivity P = |dg/dt_{depth+1}| to the tail the truncation drops, and,
+    with ``tails=True``, the tails t_j = (K_j/M_j)/(L_j/M_j - t_{j+1}) =
+    -C_j/C_{j-1} of the minimal solution in tails[1..depth] (else None).
+
+    Per level, with denom = L_j/M_j - t_{j+1}: t'_j = t_j (t'_{j+1} - 1/M_j)
+    / denom and dt_j/dt_{j+1} = t_j / denom; g = L_0/M_0 - t_1 and
+    g' = 1/M_0 - t'_1."""
     M, D, K = tables
     _check_h(h)
-    tails = [0j] * (depth + 1)
-    tail = 0j
+    store = [0j] * (depth + 1) if tails else None
+    tail, slope, sens = 0j, 0j, 1.0
     for j in range(depth, 0, -1):
-        denom = (h - D[j]) / M[j] - tail
+        m = M[j]
+        denom = (h - D[j]) / m - tail
         if denom == 0:
             raise ZeroPivot(f"vanishing partial denominator at level {j}")
-        tails[j] = tail = (K[j] / M[j]) / denom
-    return (h - D[0]) / M[0] - tail, tails
+        tail = (K[j] / m) / denom
+        ratio = tail / denom
+        slope = ratio * (slope - 1 / m)
+        sens *= abs(ratio)
+        if tails:
+            store[j] = tail
+    return (h - D[0]) / M[0] - tail, 1 / M[0] - slope, sens, store
 
 
-def _cf_raw(h: complex, tables, depth: int) -> complex:
-    """The value of the continued fraction at `depth`."""
-    return _cf_pass(h, tables, depth)[0]
+def _cf_value(h: complex, tables, cap: int) -> tuple[complex, complex, float, int]:
+    """The continued fraction at the depth it needs, at most `cap`: its value,
+    slope, truncation bound and the levels used.
+
+    The bound of a pass at depth n with sensitivity P is P |K_{n+1}/M_{n+1}|
+    / |L_{n+1}/M_{n+1}|, the first-order effect of the tail it drops (inf
+    where the tables end at n).  The tails decay like rho^j, rho =
+    min(r, 1/r) with r = |K/M| at the tables' last entry (it tends to
+    |k^2|), so the first pass runs n = ceil(log 2^-52 / log rho) + 8 levels,
+    at least 8.  A pass is accepted once its bound is at most
+    2^-52 (|l_0| + |t_1|); else the depth doubles.
+    A doubled pass runs only while the levels used so far, its own and a
+    pass at the cap stay within 1.5 cap; otherwise the next pass runs the
+    cap, which is always accepted."""
+    M, D, K = tables
+    r = abs(K[-1] / M[-1])
+    rho = min(r, 1 / r) if r else 0.0
+    n = cap
+    if rho < 1:
+        n = _CF_MARGIN + (math.ceil(math.log(_CF_EPS) / math.log(rho)) if rho else 0)
+        if 2 * n > cap:
+            n = cap
+    used = 0
+    while True:
+        g, slope, sens, _ = _cf_pass(h, tables, n)
+        used += n
+        ell = abs(h - D[n + 1]) if n + 1 < len(M) else 0
+        bound = sens * abs(K[n + 1]) / ell if ell else math.inf
+        if n == cap:
+            return g, slope, bound, n
+        ell0 = (h - D[0]) / M[0]
+        if bound <= _CF_EPS * (abs(ell0) + abs(ell0 - g)):   # t_1 = l_0 - g
+            return g, slope, bound, n
+        n = 2 * n if 2 * (used + 2 * n) <= cap else cap
 
 
 def _is_cf_root(h: complex, tables, depth: int) -> bool:
-    """Whether the continued fraction at `depth` vanishes at h, to _ROOT_TOL."""
-    return abs(_cf_raw(h, tables, depth)) < _ROOT_TOL
+    """Whether the continued fraction, at the depth it needs up to `depth`,
+    vanishes at h, to _ROOT_TOL."""
+    return abs(_cf_value(h, tables, depth)[0]) < _ROOT_TOL
 
 
 def infinite_cf(h: complex, p: ParamTuple, depth: int = 400, variant: str = "corrected") -> CFValue:
-    """g(h) = L0/M0 - (K1/M1)/(L1/M1 - (K2/M2)/(L2/M2 - ...)), depth levels.
+    """g(h) = L0/M0 - (K1/M1)/(L1/M1 - (K2/M2)/(L2/M2 - ...)).
 
-    Backward (tail-to-head) evaluation; the reported indicator is the
-    change between depth and depth/2.  Raises ZeroPivot if a partial
-    denominator vanishes exactly (caller nudges h and retries).
+    Backward (tail-to-head) evaluation at the depth the fraction needs, with
+    `depth` as the cap (see ``_cf_value``); the result reports the levels
+    used and the truncation bound of that pass.  Raises ZeroPivot if a
+    partial denominator vanishes exactly (caller nudges h and retries).
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    tables = _weights(p, variant, depth + 1)
-    g = _cf_raw(h, tables, depth)
-    g_half = _cf_raw(h, tables, max(1, depth // 2))
-    return CFValue(value=g, depth=depth, change_from_half_depth=abs(g - g_half))
+    _check_depth(depth)
+    tables = _weights(p, variant, depth + 2)
+    g, _, bound, n = _cf_value(h, tables, depth)
+    return CFValue(value=g, depth=n, truncation_bound=bound)
 
 
 def darboux_function_eigenvalues(
@@ -382,16 +443,20 @@ def darboux_function_eigenvalues(
 
     `region` is a complex box ((re_lo, re_hi), (im_lo, im_hi)) or a real
     interval (lo, hi), the box of zero height; a lower bound above its
-    upper bound (or a NaN bound) raises ValueError.  Candidates are the
-    eigenvalues of the truncation matrix J_n (Ince's method, solved by
-    ``_tridiagonal_eigvals``), polished on the fraction at `depth` to `tol`.
+    upper bound (or a NaN bound) raises ValueError, as do a `depth` that is
+    not an int >= 1 and a `tol` that is not finite and > 0.  Candidates are
+    the eigenvalues of the truncation matrix J_n (Ince's method, solved by
+    ``_tridiagonal_eigvals``), polished by Newton steps on the fraction,
+    which runs at the depth it needs up to the cap `depth`, to `tol`.
     n doubles from 32 until every candidate polishes onto a root near
     itself and two successive sets agree, at most to depth+1, where the
     eigenvalues are exactly the zeros at `depth`.  A tuple that terminates at q (K_{q+1} = 0) stops at order
     min(depth, q) + 1: g is then a finite fraction whose zeros are exactly
-    the eigenvalues of J_{q+1}.  Each root must be stable under depth
-    doubling (else DepthUnstable).
+    the eigenvalues of J_{q+1}.  Each root must be stable when re-polished
+    with the cap doubled (else DepthUnstable).
     """
+    _check_depth(depth)
+    _check_tol(tol)
     lo, hi = region
     box = region if isinstance(lo, (tuple, list)) else ((lo, hi), (0.0, 0.0))
     if not all(a <= b for a, b in box):   # also refuses a NaN bound
@@ -408,7 +473,7 @@ def darboux_function_eigenvalues(
         prev, n = found if resolved else None, 2 * n
     stable = []
     for r in found:
-        r2 = _polish_root(tables, r, 2 * depth, tol)
+        r2, _ = _polish_root(tables, r, 2 * depth, tol)
         if abs(r2 - r) > 100 * tol * max(1.0, abs(r)):
             raise DepthUnstable(f"root {r} moved by {abs(r2 - r):.3e} when depth doubled")
         stable.append(r2)
@@ -428,36 +493,43 @@ def _matrix_roots(tables, n, box, depth, tol) -> tuple[list[complex], bool]:
     for e in _tridiagonal_eigvals(_truncation_matrix(tables, n)):
         if not (rl - pad <= e.real <= rh + pad and il - pad <= e.imag <= ih + pad):
             continue
-        r = _polish_root(tables, complex(e), depth, tol)
+        r, g = _polish_root(tables, complex(e), depth, tol)
         resolved = resolved and abs(r - e) <= 1e-2 * max(1.0, abs(e))
-        # a root within tol of the region's imaginary range is put on it:
-        # a real interval gets real roots
+        # a root within tol of the region's imaginary range is put on it (a
+        # real interval gets real roots) and tested there; else the polish's
+        # last value is its root test
         im = min(max(r.imag, il), ih)
         if abs(r.imag - im) <= tol * max(1.0, abs(r)):
+            if r.imag != im:
+                g = _cf_value(complex(r.real, im), tables, depth)[0]
             r = complex(r.real, im)
         if (
             rl <= r.real <= rh
             and il <= r.imag <= ih
-            and _is_cf_root(r, tables, depth)
+            and abs(g) < _ROOT_TOL
             and not np.isclose(r, roots, rtol=1e-8, atol=1e-8).any()
         ):
             roots.append(r)
     return roots, resolved
 
 
-def _polish_root(tables, r, depth, tol) -> complex:
-    # complex secant iteration
-    x0, x1 = r + 10 * tol, r
-    f0 = _cf_raw(x0, tables, depth)
+def _polish_root(tables, r, depth, tol) -> tuple[complex, complex]:
+    """Newton steps on the fraction (capped at `depth`) from r, until a step
+    is below tol (relative to max(1, |x|)).  Returns the polished point and
+    the fraction's value at the last point evaluated: one step before it,
+    or at it where a zero slope or a non-finite step stopped the steps."""
+    x = r
     for _ in range(60):
-        f1 = _cf_raw(x1, tables, depth)
-        if f1 == f0:
+        g, slope, _, _ = _cf_value(x, tables, depth)
+        if slope == 0:
             break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        x0, f0, x1 = x1, f1, x2
-        if abs(x1 - x0) < tol * max(1.0, abs(x1)):
+        step = g / slope
+        if not cmath.isfinite(step):
             break
-    return x1
+        x -= step
+        if abs(step) < tol * max(1.0, abs(x)):
+            break
+    return x, g
 
 
 def convergence_domain(p: ParamTuple, h: complex, depth: int = 400, variant: str = "corrected") -> float:
@@ -466,7 +538,9 @@ def convergence_domain(p: ParamTuple, h: complex, depth: int = 400, variant: str
     max(1, |k|^-1) when the infinite continued fraction vanishes at h,
     min(1, |k|^-1) otherwise; math.inf for a terminating (polynomial)
     channel, whose finite sum is unbounded on the torus minus the poles.
+    The fraction runs at the depth it needs, with `depth` as its cap.
     """
+    _check_depth(depth)
     ak = abs(p.k)
     if abs(ak - 1.0) < 1e-12:
         raise ModulusOnUnitCircle("|k| = 1: convergence radii coincide")

@@ -266,8 +266,39 @@ class TestContinuedFraction:
                 assert abs(infinite_cf(h, p, depth=400).value) > 1e-6
 
     def test_convergence_indicator(self):
-        cf = infinite_cf(0.9, P(0.2, 0.1, 0.4, 0.9), depth=400)
-        assert cf.change_from_half_depth < 1e-12
+        # one adaptive pass: it stops well before the cap, where its
+        # truncation bound reaches 2^-52 (|l_0| + |t_1|), and it agrees with
+        # the depth-400 pass to rounding
+        p = P(0.2, 0.1, 0.4, 0.9)
+        cf = infinite_cf(0.9, p, depth=400)
+        tables = series._weights(p, "corrected", 401)
+        full = series._cf_pass(0.9, tables, 400)[0]
+        rc = recursion_coeffs(0, p)
+        scale = 2.0**-52 * (abs(rc.L / rc.M) + abs(rc.L / rc.M - full))
+        assert cf.depth < 100 and cf.truncation_bound <= scale
+        assert cf.value == series._cf_pass(0.9, tables, cf.depth)[0]
+        assert abs(cf.value - full) <= 4 * scale
+
+    def test_bound_at_the_cap(self):
+        # a cap below the needed depth: the pass runs the cap and reports its
+        # bound, of the order of the distance to the converged value.  The
+        # bound is first order in the dropped tail, and the tails next to
+        # the cut have not reached their limit yet, so it can be low by about
+        # |1 + k^2| / (1 - |k^2|), 9.5 at k = 0.9 (9.9 here)
+        p = P(0.2, 0.1, 0.4, 0.9, k=0.9)
+        cf = infinite_cf(0.9, p, depth=20)
+        full = infinite_cf(0.9, p, depth=400).value
+        assert cf.depth == 20 and 1e-12 < cf.truncation_bound < 1
+        assert cf.truncation_bound <= abs(cf.value - full) <= 12 * cf.truncation_bound
+
+    @pytest.mark.parametrize("p, h", [(P(0.2, 0.1, 0.4, 0.9), 0.9), (P(0, 0, 0, 1), 3.6 + 0.2j),
+                                      (P(0, 0, 0, 1, k=0.5 + 0.3j), 15.0 - 2.0j)])
+    def test_slope_is_the_derivative(self, p, h):
+        tables = series._weights(p, "corrected", 401)
+        _, slope, _, _ = series._cf_pass(h, tables, 400)
+        d = 1e-5
+        central = (series._cf_pass(h + d, tables, 400)[0] - series._cf_pass(h - d, tables, 400)[0]) / (2 * d)
+        assert abs(slope - central) <= 1e-8 * max(1.0, abs(slope))
 
 
 #: Lame nu = 1 at a complex modulus: its function eigenvalues are all off the real axis.
@@ -314,6 +345,35 @@ class TestScanner:
         roots = darboux_function_eigenvalues(P(*exps), region, depth=400)
         assert termination_check(P(*exps)) == q and max(orders) == q + 1
         assert roots == pytest.approx(expected, abs=1e-12)
+
+    def test_lame_search_runs_short_fractions(self, monkeypatch):
+        # the Lame nu = 1 search on (0, 12) used to run 12 passes of 400 or
+        # 800 levels (5,600 levels); the Newton polish and the adaptive depth
+        # run 5 passes of 44 levels
+        levels, run = [], series._cf_pass
+        monkeypatch.setattr(series, "_cf_pass",
+                            lambda h, tables, n, **kw: levels.append(n) or run(h, tables, n, **kw))
+        roots = darboux_function_eigenvalues(P(0, 0, 0, 1), (0.0, 12.0))
+        assert roots == pytest.approx([3.6066522808608], abs=1e-12)
+        assert len(levels) <= 6 and sum(levels) <= 400
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: darboux_function_eigenvalues(P(0, 0, 0, 1), (0, 12), depth=0), "depth"),
+        (lambda: darboux_function_eigenvalues(P(0, 0, 0, 1), (0, 12), depth=-3), "depth"),
+        (lambda: darboux_function_eigenvalues(P(0, 0, 0, 1), (0, 12), depth=400.0), "depth"),
+        (lambda: darboux_function_eigenvalues(P(0, 0, 0, 1), (0, 12), tol=-1.0), "tol"),
+        (lambda: darboux_function_eigenvalues(P(0, 0, 0, 1), (0, 12), tol=0.0), "tol"),
+        (lambda: darboux_function_eigenvalues(P(0, 0, 0, 1), (0, 12), tol=math.nan), "tol"),
+        (lambda: darboux_function_eigenvalues(P(0, 0, 0, 1), (0, 12), tol=math.inf), "tol"),
+        (lambda: convergence_domain(P(0, 0, 0, 1), 3.6, depth=-1), "depth"),
+        (lambda: infinite_cf(3.6, P(0, 0, 0, 1), depth=0), "depth"),
+        (lambda: infinite_cf(3.6, P(0, 0, 0, 1), depth=True), "depth"),
+    ], ids=["eigen-depth-0", "eigen-depth-neg", "eigen-depth-float", "eigen-tol-neg", "eigen-tol-0",
+            "eigen-tol-nan", "eigen-tol-inf", "domain-depth-neg", "cf-depth-0", "cf-depth-bool"])
+    def test_bad_depth_or_tol_refused(self, call, name):
+        # never a root of l_0 alone, numpy's own error, DepthUnstable or a bare IndexError
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call()
 
     def test_inverted_region_is_refused(self):
         for region in [(3.0, 1.0), ((0.0, 1.0), (1.0, -1.0)), (math.nan, 1.0)]:
