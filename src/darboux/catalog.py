@@ -160,12 +160,13 @@ def _walk_grid() -> np.ndarray:
 _WALK = _walk_grid()
 
 
-def sample_points(
-    sid: SolutionId,
-    p: ParamTuple,
-    count: int = 5,
-    angle: float = 0.6283185307179586,   # pi/5: keeps every scale's ray off the cut
-) -> list[complex]:
+#: points ``sample_points`` spreads over the admissible stretch of its ray
+SAMPLE_COUNT = 5
+#: direction of that ray: pi/5 keeps every scale's ray off the cut
+SAMPLE_ANGLE = cmath.pi / 5
+
+
+def sample_points(sid: SolutionId, p: ParamTuple) -> list[complex]:
     """Original-u points whose images w land safely inside the transformed
     series' convergence domain, along a fixed ray from the singular point
     (fixed rays keep the principal-branch prefactor on one sheet).
@@ -173,7 +174,7 @@ def sample_points(
     The ray is walked outward over ``_WALK``, in units of the transformed
     radius min(1, 1/|kappa|) (one batched sn call over the whole walk; a
     NonConvergence of that call propagates), until |sn(w, kappa)| reaches
-    80% of the certified bound; `count` points are spread over the
+    80% of the certified bound; ``SAMPLE_COUNT`` points are spread over the
     admissible stretch, staying clear of the singular point itself
     (finite-difference stencils around the returned points must keep the
     residual oracle's pole guard).
@@ -182,11 +183,11 @@ def sample_points(
     a, b = sid.row.substitution_parts(p.k)
     radius = min(1.0, 1.0 / abs(pt.k))
     bound = 0.8 * radius
-    direction = cmath.exp(1j * angle)
+    direction = cmath.exp(1j * SAMPLE_ANGLE)
     walk = _WALK * radius
     # t_max: the walk point before the first probe with |sn| >= bound, else the end
     crossed = np.flatnonzero(np.abs(jacobi_sn_cn_dn(walk[1:] * direction, pt.k)[0]) >= bound)
     t_max = walk[crossed[0] if crossed.size else -1]
-    w = np.linspace(0.35 * t_max, 0.95 * t_max, count) * direction
+    w = np.linspace(0.35 * t_max, 0.95 * t_max, SAMPLE_COUNT) * direction
     sn = jacobi_sn_cn_dn(w, pt.k)[0]
     return [complex(x) for x in (w / a - b)[np.abs(sn) < bound]]

@@ -246,27 +246,24 @@ def cmd_identities(args, cfg: RunConfig, out: _Emitter) -> int:
                 })
         failed = failed or not report.passed()
     k = complex(args.k) if args.k else 0.6
-    if args.landen:
-        rng = np.random.default_rng(cfg.seed)
+    # identity, its potential check, its series pair and the pair's leading
+    # arguments; the i-th identity draws its points from seed + i
+    suites = (
+        ("landen", reductions.landen_potential_identity, reductions.landen_pair, (0.0, 1.0, 0.83)),
+        ("duplication", reductions.duplication_potential_identity, reductions.duplication_pair,
+         (0.31, 1.7)),
+    )
+    for offset, (name, potential, pair, lead) in enumerate(suites):
+        if not getattr(args, name):
+            continue
+        rng = np.random.default_rng(cfg.seed + offset)
         for _ in range(args.samples):
             u = 0.08 + 0.2 * rng.random() + 0.1j * rng.random()
-            e1, e2 = reductions.landen_potential_identity(u, k)
-            lhs, rhs = reductions.landen_pair(0.0, 1.0, 0.83, k, u, N=cfg.truncation,
-                                              variant=cfg.variant)
+            e = potential(u, k)
+            e = max(e) if isinstance(e, tuple) else e   # landen checks two potentials
+            lhs, rhs = pair(*lead, k, u, N=cfg.truncation, variant=cfg.variant)
             err = abs(lhs / rhs - 1)
-            out.emit({"identity": "landen", "u": _cstr(u), "potential_err": max(e1, e2),
-                      "dl_relative_err": err})
-            failed = failed or max(e1, e2) > 1e-12 or err > 1e-8
-    if args.duplication:
-        rng = np.random.default_rng(cfg.seed + 1)
-        for _ in range(args.samples):
-            u = 0.08 + 0.2 * rng.random() + 0.1j * rng.random()
-            e = reductions.duplication_potential_identity(u, k)
-            lhs, rhs = reductions.duplication_pair(0.31, 1.7, k, u, N=cfg.truncation,
-                                                   variant=cfg.variant)
-            err = abs(lhs / rhs - 1)
-            out.emit({"identity": "duplication", "u": _cstr(u), "potential_err": e,
-                      "dl_relative_err": err})
+            out.emit({"identity": name, "u": _cstr(u), "potential_err": e, "dl_relative_err": err})
             failed = failed or e > 1e-12 or err > 1e-8
     return EXIT_VERIFY if failed else EXIT_OK
 
@@ -295,7 +292,8 @@ def cmd_weierstrass(args, cfg: RunConfig, out: _Emitter) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig, out: _Emitter) -> int:
-    report = verify.identity_harness(tol=cfg.tolerance)
+    tables = verify.regenerate_tables(tol=cfg.tolerance)
+    report = tables[2]
     for rec in report.records:
         if rec.status != "ok":
             out.emit({"check": rec.table, "row": rec.row, "field": rec.fld,
@@ -303,8 +301,8 @@ def cmd_verify(args, cfg: RunConfig, out: _Emitter) -> int:
     verdict, evidence = verify.lvariant_adjudicator()
     out.emit({"check": "lvariant", "verdict": verdict, "cases": len(evidence)})
     if args.emit_docs:
-        verify.write_frozen_tables(args.emit_docs + "/data", docs_dir=args.emit_docs)
-        verify.write_variant_evidence(args.emit_docs)
+        verify.write_frozen_tables(args.emit_docs + "/data", tables, args.emit_docs)
+        verify.write_variant_evidence(args.emit_docs, verdict, evidence)
     ok = report.passed() and verdict == "corrected"
     return EXIT_OK if ok else EXIT_VERIFY
 

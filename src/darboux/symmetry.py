@@ -130,23 +130,21 @@ class AnhElement:
     """One anharmonic element: matrix representative, lambda action, weight-2
     permutation, modulus map, substitution scale, quarter periods, h-map tag.
 
-    ``cross_ratio`` and ``rho`` are the adjudicated pairings (the printed
-    ones are kept alongside); see the Open Questions notes in the README.
+    ``cross_ratio`` and ``rho`` are the adjudicated pairings; a printed
+    reading that differs is kept in ``repairs``.  See the Open Questions
+    notes in the README.
     """
 
     tag: str
     matrix: tuple[tuple[int, int], tuple[int, int]]
     cross_ratio: str
-    printed_cross_ratio: str
     rho: tuple[int, int, int]
-    printed_rho: tuple[int, int, int]
     scale: Scalar
     kappa: Scalar
     kappa_prime: Scalar
     quarter_K: tuple[complex, complex]       # K(kappa) = scale_q*(cK*K + cKp*K')
     quarter_Kp: tuple[complex, complex]
     quarter_scale: Scalar
-    printed_quarter_K: tuple[complex, complex]
     hW_tag: str                              # Weierstrass-form accessory map
     repairs: tuple[str, ...]
 
@@ -215,16 +213,13 @@ def _load_tables() -> tuple[dict[str, AnhElement], dict[str, TransformRow]]:
             tag=r["tag"],
             matrix=tuple(tuple(row) for row in r["matrix"]),
             cross_ratio=r["cross_ratio"],
-            printed_cross_ratio=r["printed_cross_ratio"],
             rho=tuple(r["rho"]),
-            printed_rho=tuple(r["printed_rho"]),
             scale=_parse_scalar(r["scale"]),
             kappa=_parse_scalar(r["kappa"]),
             kappa_prime=_parse_scalar(r["kappa_prime"]),
             quarter_K=_parse_coeff(r["quarter_K"]),
             quarter_Kp=_parse_coeff(r["quarter_Kp"]),
             quarter_scale=_parse_scalar(r["quarter_scale"]),
-            printed_quarter_K=_parse_coeff(r["printed_quarter_K"]),
             hW_tag=r["hW_tag"],
             repairs=tuple(r["repairs"]),
         )

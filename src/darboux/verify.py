@@ -558,40 +558,26 @@ def adjudicate_accessory_maps(k_values=DEFAULT_K_VALUES, tol=1e-9):
     return records
 
 
-def identity_harness(k_values=DEFAULT_K_VALUES, u_grid=None, tol: float = 1e-10) -> HarnessReport:
-    """Run every table check: 24 rows x 3 glyphs, quarter-period columns,
-    lambda/rho pairings, sigma cross-derivation, accessory covariance.  The
+def regenerate_tables(k_values=DEFAULT_K_VALUES, u_grid=None, tol: float = 1e-10):
+    """Run every table check once and serialize the adopted tables.
+
+    The checks, in record order: 24 rows x 3 glyphs, the quarter-period
+    columns and the lambda/rho pairings (each at `tol`), the sigma
+    cross-derivation, and the accessory covariance (at its own 1e-9).  The
     first three adopt the unique passing candidate (``_adopt``), so a sample
     that cannot decide a field (k = k') fails it, and an empty one raises
-    InsufficientData.
+    InsufficientData.  Every printed reading that differs from the adopted
+    one is kept in its field's ``repairs`` note.
+
+    Returns (anh_records, row_records, report); ``write_frozen_tables``
+    writes them, and the test suite diffs the default run against the files
+    shipped in darboux/data.
     """
-    report = HarnessReport()
-    _, rec = adjudicate_joint_table(k_values, u_grid, tol)
-    report.records.extend(rec)
-    _, rec = adjudicate_quarter_periods(k_values, tol)
-    report.records.extend(rec)
-    _, rec = adjudicate_lambda_pairings(tol=tol)
-    report.records.extend(rec)
-    report.records.extend(adjudicate_sigmas(k_values))
-    report.records.extend(adjudicate_accessory_maps(k_values))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# frozen-table regeneration
-
-
-def regenerate_tables():
-    """Re-run the adjudicators and serialize the frozen data records.
-
-    Returns (anh_records, row_records, harness_report); the test suite
-    diffs these against the files shipped in darboux/data.
-    """
-    rows, rec_rows = adjudicate_joint_table()
-    quarters, rec_quarters = adjudicate_quarter_periods()
-    pairings, rec_pairs = adjudicate_lambda_pairings()
-    rec_sigma = adjudicate_sigmas()
-    rec_acc = adjudicate_accessory_maps()
+    rows, rec_rows = adjudicate_joint_table(k_values, u_grid, tol)
+    quarters, rec_quarters = adjudicate_quarter_periods(k_values, tol)
+    pairings, rec_pairs = adjudicate_lambda_pairings(tol=tol)
+    rec_sigma = adjudicate_sigmas(k_values)
+    rec_acc = adjudicate_accessory_maps(k_values)
 
     def coeff_json(pair):
         return [[complex(c).real, complex(c).imag] for c in pair]
@@ -606,16 +592,13 @@ def regenerate_tables():
             "tag": X,
             "matrix": [list(r) for r in PRINTED_ANH[X]["matrix"]],
             "cross_ratio": pairings[X]["cross_ratio"],
-            "printed_cross_ratio": PRINTED_ANH[X]["cross"],
             "rho": pairings[X]["rho"],
-            "printed_rho": list(PRINTED_ANH[X]["rho"]),
             "scale": list(PRINTED_SCALE[X]),
             "kappa": list(PRINTED_KAPPA[X]),
             "kappa_prime": list(PRINTED_KAPPA_PRIME[X]),
             "quarter_K": coeff_json(quarters[X]["quarter_K"]),
             "quarter_Kp": coeff_json(quarters[X]["quarter_Kp"]),
             "quarter_scale": quarters[X]["quarter_scale"],
-            "printed_quarter_K": coeff_json(PRINTED_QUARTER[X][1]),
             "hW_tag": HW_TAGS[X],
             "repairs": repairs,
         })
@@ -624,25 +607,26 @@ def regenerate_tables():
     return anh_records, row_records, report
 
 
-def write_frozen_tables(data_dir, docs_dir=None):
-    """Write the adjudicated tables (and the repair log, if docs_dir given)."""
+def identity_harness(k_values=DEFAULT_K_VALUES, u_grid=None, tol: float = 1e-10) -> HarnessReport:
+    """The check records of one ``regenerate_tables`` run."""
+    return regenerate_tables(k_values, u_grid, tol)[2]
+
+
+def _write_lines(path: pathlib.Path, lines) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def write_frozen_tables(data_dir, tables, docs_dir) -> None:
+    """Write the (anh_records, row_records, report) of one
+    ``regenerate_tables`` run: the two data files to `data_dir`, and the
+    repair log (every record that is not ok) to `docs_dir`."""
+    anh_records, row_records, report = tables
     data_dir = pathlib.Path(data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
-    anh_records, row_records, report = regenerate_tables()
-    with open(data_dir / "anh_elements.jsonl", "w") as fh:
-        for r in anh_records:
-            fh.write(json.dumps(r) + "\n")
-    with open(data_dir / "transform_rows.jsonl", "w") as fh:
-        for r in row_records:
-            fh.write(json.dumps(r) + "\n")
-    if docs_dir is not None:
-        docs_dir = pathlib.Path(docs_dir)
-        docs_dir.mkdir(parents=True, exist_ok=True)
-        with open(docs_dir / "table_repairs.jsonl", "w") as fh:
-            for r in report.records:
-                if r.status != "ok":
-                    fh.write(r.as_json() + "\n")
-    return report
+    _write_lines(data_dir / "anh_elements.jsonl", map(json.dumps, anh_records))
+    _write_lines(data_dir / "transform_rows.jsonl", map(json.dumps, row_records))
+    _write_lines(pathlib.Path(docs_dir) / "table_repairs.jsonl",
+                 (r.as_json() for r in report.records if r.status != "ok"))
 
 
 # ---------------------------------------------------------------------------
@@ -719,12 +703,7 @@ def lvariant_adjudicator(
     return verdict, evidence
 
 
-def write_variant_evidence(docs_dir, tuples=None):
-    docs_dir = pathlib.Path(docs_dir)
-    docs_dir.mkdir(parents=True, exist_ok=True)
-    verdict, evidence = lvariant_adjudicator(tuples)
-    with open(docs_dir / "lvariant_evidence.jsonl", "w") as fh:
-        fh.write(json.dumps({"verdict": verdict}) + "\n")
-        for e in evidence:
-            fh.write(e.as_json() + "\n")
-    return verdict, evidence
+def write_variant_evidence(docs_dir, verdict, evidence) -> None:
+    """Write one ``lvariant_adjudicator`` run: its verdict, then its evidence."""
+    _write_lines(pathlib.Path(docs_dir) / "lvariant_evidence.jsonl",
+                 [json.dumps({"verdict": verdict}), *(e.as_json() for e in evidence)])

@@ -8,6 +8,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from darboux import verify
+from darboux.cli import EXIT_OK, EXIT_VERIFY, main
 from darboux.elliptic import (
     ModulusData,
     _glyph,
@@ -48,6 +50,10 @@ from darboux.verify import (
 K = 0.6
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "darboux" / "data"
 DOCS_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "adjudication"
+
+
+def _jsonl(path):
+    return [json.loads(line) for line in path.read_text().splitlines() if line]
 
 
 class TestResidual:
@@ -304,24 +310,18 @@ class TestFrozenData:
     def test_regenerated_tables_match_shipped_files(self):
         anh_records, row_records, report = regenerate_tables()
         assert report.passed()
-        shipped_anh = [json.loads(line) for line in
-                       (DATA_DIR / "anh_elements.jsonl").read_text().splitlines() if line]
-        shipped_rows = [json.loads(line) for line in
-                        (DATA_DIR / "transform_rows.jsonl").read_text().splitlines() if line]
-        assert json.loads(json.dumps(anh_records)) == shipped_anh
-        assert json.loads(json.dumps(row_records)) == shipped_rows
+        assert json.loads(json.dumps(anh_records)) == _jsonl(DATA_DIR / "anh_elements.jsonl")
+        assert json.loads(json.dumps(row_records)) == _jsonl(DATA_DIR / "transform_rows.jsonl")
 
     #: The gate each repair record's max_error was adopted at, by table.
     REPAIR_GATES = {"joint": 1e-10, "quarter": 1e-10, "lambda": 1e-10, "rho": 1e-8}
 
     @staticmethod
     def _shipped(name):
-        return [json.loads(line) for line in (DOCS_DIR / name).read_text().splitlines() if line]
+        return _jsonl(DOCS_DIR / name)
 
-    def test_shipped_repair_log_matches_the_harness(self):
+    def _check_repair_log(self, fresh):
         # the floats follow the last bits of the kernels; each stays on its side of its gate
-        _, _, report = regenerate_tables()
-        fresh = [json.loads(r.as_json()) for r in report.records if r.status != "ok"]
         shipped = self._shipped("table_repairs.jsonl")
         assert len(fresh) == len(shipped)
         for got, want in zip(fresh, shipped):
@@ -329,16 +329,56 @@ class TestFrozenData:
             assert got == {f: v for f, v in want.items() if f != "max_error"}
             assert (math.isnan(err), err < gate) == (math.isnan(want["max_error"]), want["max_error"] < gate)
 
-    def test_shipped_variant_evidence_matches_the_adjudicator(self):
-        verdict, evidence = lvariant_adjudicator()
-        head, *shipped = self._shipped("lvariant_evidence.jsonl")
-        assert head == {"verdict": verdict} and len(shipped) == len(evidence)
-        for e, want in zip(evidence, shipped):
-            got = json.loads(e.as_json())
+    def _check_variant_evidence(self, fresh):
+        shipped = self._shipped("lvariant_evidence.jsonl")
+        assert len(fresh) == len(shipped) and fresh[0] == shipped[0]   # the verdict line
+        for got, want in zip(fresh[1:], shipped[1:]):
             res, eig = got.pop("residual"), complex(got.pop("eigenvalue"))
             assert got == {f: v for f, v in want.items() if f not in ("residual", "eigenvalue")}
             assert eig == pytest.approx(complex(want["eigenvalue"]), rel=1e-12)
             assert (res <= 1e-6) == (want["residual"] <= 1e-6)   # the adjudicator's accept gate
+
+    def test_shipped_repair_log_matches_the_harness(self):
+        _, _, report = regenerate_tables()
+        self._check_repair_log([json.loads(r.as_json()) for r in report.records if r.status != "ok"])
+
+    def test_shipped_variant_evidence_matches_the_adjudicator(self):
+        verdict, evidence = lvariant_adjudicator()
+        self._check_variant_evidence([{"verdict": verdict}, *(json.loads(e.as_json()) for e in evidence)])
+
+    def test_emit_docs_writes_the_shipped_files(self, tmp_path, capsys):
+        assert main(["verify", "--emit-docs", str(tmp_path)]) == EXIT_OK
+        for name in ("anh_elements.jsonl", "transform_rows.jsonl"):
+            assert (tmp_path / "data" / name).read_bytes() == (DATA_DIR / name).read_bytes()
+        self._check_repair_log(_jsonl(tmp_path / "table_repairs.jsonl"))
+        self._check_variant_evidence(_jsonl(tmp_path / "lvariant_evidence.jsonl"))
+
+    def test_emit_docs_logs_the_failures_it_prints(self, tmp_path, capsys):
+        # at a tolerance below rounding most fields fail; the log is of the same run
+        assert main(["verify", "--tol", "1e-17", "--emit-docs", str(tmp_path)]) == EXIT_VERIFY
+        printed = {(r["check"], r["row"], r["field"])
+                   for r in map(json.loads, capsys.readouterr().out.splitlines()) if r.get("status") == "failed"}
+        written = {(r["table"], r["row"], r["fld"])
+                   for r in _jsonl(tmp_path / "table_repairs.jsonl") if r["status"] == "failed"}
+        assert printed and written == printed
+
+    def test_emit_docs_runs_each_adjudicator_once(self, tmp_path, monkeypatch, capsys):
+        calls = {}
+
+        def spy(name):
+            real = getattr(verify, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            return counted
+
+        names = [n for n in dir(verify) if n.startswith("adjudicate_")] + ["lvariant_adjudicator"]
+        assert len(names) == 6
+        for name in names:
+            monkeypatch.setattr(verify, name, spy(name))
+        assert main(["verify", "--emit-docs", str(tmp_path)]) == EXIT_OK
+        assert calls == dict.fromkeys(names, 1)
 
     def test_repair_log_versioned(self):
         text = (DOCS_DIR / "table_repairs.jsonl").read_text()
