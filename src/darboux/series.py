@@ -165,7 +165,6 @@ class SeriesCoefficients:
 
     values: np.ndarray
     exps: np.ndarray
-    variant: str
     mode: str
     terminated_at: int | None
     radius: float
@@ -217,18 +216,18 @@ def dl_coefficients(
     if N < 0:
         raise ValueError("N must be >= 0")
     if mode == "forward" or termination_check(p) is not None:
-        return _coefficients_forward(p, _weights(p, variant, N), N, variant)
+        return _coefficients_forward(p, _weights(p, variant, N), N)
     depth = max(2 * N, 200)     # the fraction's depth cap, and the depth of its tails
     tables = _weights(p, variant, depth + 1)
     if mode == "auto" and not _is_cf_root(p.h, tables, depth):
-        return _coefficients_forward(p, tables, N, variant)
+        return _coefficients_forward(p, tables, N)
     g, _, _, tails = _cf_pass(p.h, tables, depth, tails=True)
     root = abs(g) < _ROOT_TOL
     vals = [1.0 + 0j]
     for t in tails[1 : N + 1]:
         vals.append(-t * vals[-1])
     radius = max(1.0, 1.0 / abs(p.k)) if root else min(1.0, 1.0 / abs(p.k))
-    return SeriesCoefficients(values=_finite(vals), exps=np.zeros(N + 1, dtype=np.int64), variant=variant,
+    return SeriesCoefficients(values=_finite(vals), exps=np.zeros(N + 1, dtype=np.int64),
                               mode="minimal", terminated_at=None, radius=radius)
 
 
@@ -240,7 +239,7 @@ def _finite(vals: list) -> np.ndarray:
     return values
 
 
-def _coefficients_forward(p: ParamTuple, tables, N: int, variant: str) -> SeriesCoefficients:
+def _coefficients_forward(p: ParamTuple, tables, N: int) -> SeriesCoefficients:
     M, D, K = tables
     h = p.h
     _check_h(h)
@@ -257,8 +256,7 @@ def _coefficients_forward(p: ParamTuple, tables, N: int, variant: str) -> Series
     values, exps = _finite(vals), np.array(es, dtype=np.int64)
     term = _detect_termination(p, values, exps)
     radius = math.inf if term is not None else min(1.0, 1.0 / abs(p.k))
-    return SeriesCoefficients(values=values, exps=exps, variant=variant, mode="forward",
-                              terminated_at=term, radius=radius)
+    return SeriesCoefficients(values=values, exps=exps, mode="forward", terminated_at=term, radius=radius)
 
 
 def _detect_termination(p: ParamTuple, values: np.ndarray, exps: np.ndarray) -> int | None:

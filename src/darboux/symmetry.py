@@ -8,15 +8,16 @@ four singular points.
 
 Transformation rows and anharmonic elements are loaded from the frozen,
 machine-readable data files in ``darboux/data``.  Those files are the
-post-adjudication versions: every glyph identity in them holds numerically
-to 1e-10 (the adjudicator in :mod:`darboux.verify` regenerates them, and
-the test suite diffs the regenerated records against the shipped ones).
+post-adjudication versions: every glyph identity and accessory map in them
+holds to 1e-10 (:mod:`darboux.verify` regenerates them, and the test suite
+diffs the regenerated records against the shipped ones).
 Repaired fields carry the original reading in their ``repairs`` notes.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -56,7 +57,8 @@ def scalar_repr(s: Scalar) -> str:
     ipart = {0: "", 1: "i*", 2: "-", 3: "-i*"}[a % 4]
     kpart = {0: "", 1: "k*", -1: "(1/k)*"}.get(b, f"k^{b}*")
     kppart = {0: "", 1: "kp*", -1: "(1/kp)*"}.get(c, f"kp^{c}*")
-    return (ipart + kpart + kppart).rstrip("*") or "1"
+    text = (ipart + kpart + kppart).rstrip("*")
+    return {"": "1", "-": "-1"}.get(text, text)
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,7 @@ IDENTITY_SIGNS: SignVector = (1, 1, 1, 1)
 
 
 def all_sign_vectors() -> list[SignVector]:
-    out = []
-    for a in (1, -1):
-        for b in (1, -1):
-            for c in (1, -1):
-                for d in (1, -1):
-                    out.append((a, b, c, d))
-    return out
+    return list(itertools.product((1, -1), repeat=4))
 
 
 def gI_apply(signs: SignVector, p: ParamTuple) -> ParamTuple:
@@ -128,11 +124,11 @@ class GlyphEntry:
 @dataclass(frozen=True)
 class AnhElement:
     """One anharmonic element: matrix representative, lambda action, weight-2
-    permutation, modulus map, substitution scale, quarter periods, h-map tag.
+    permutation, modulus map, substitution scale, quarter periods, gamma, h-map tag.
 
-    ``cross_ratio`` and ``rho`` are the adjudicated pairings; a printed
-    reading that differs is kept in ``repairs``.  See the Open Questions
-    notes in the README.
+    ``cross_ratio``, ``rho`` and ``gamma`` are adjudicated; a printed reading
+    that differs is kept in ``repairs``.  See the Open Questions notes in the
+    README.
     """
 
     tag: str
@@ -145,6 +141,7 @@ class AnhElement:
     quarter_K: tuple[complex, complex]       # K(kappa) = scale_q*(cK*K + cKp*K')
     quarter_Kp: tuple[complex, complex]
     quarter_scale: Scalar
+    gamma: Scalar | None                     # h_X = (h + gamma*S) / scale^2; None is 0
     hW_tag: str                              # Weierstrass-form accessory map
     repairs: tuple[str, ...]
 
@@ -220,6 +217,7 @@ def _load_tables() -> tuple[dict[str, AnhElement], dict[str, TransformRow]]:
             quarter_K=_parse_coeff(r["quarter_K"]),
             quarter_Kp=_parse_coeff(r["quarter_Kp"]),
             quarter_scale=_parse_scalar(r["quarter_scale"]),
+            gamma=None if r["gamma"] is None else _parse_scalar(r["gamma"]),
             hW_tag=r["hW_tag"],
             repairs=tuple(r["repairs"]),
         )
@@ -275,26 +273,17 @@ def apply_to_variable(row: TransformRow, u: complex, k: complex) -> tuple[comple
 
 
 def accessory_map(anh_tag: str, h: complex, gamma_sum: complex, k: complex) -> complex:
-    """The accessory-parameter map h_X (Jacobian form, adjudicated table).
-
-    Row D ships the adjudicated formula (-h + S)/k'^2; the printed version
-    carries a spurious leading factor h (see the adjudication log).
-    """
+    """The accessory-parameter map h_X = (h + gamma S) / a^2 (Jacobian form):
+    a is the type's substitution scale, a^2 built with k'^2 = 1 - k^2, and
+    gamma its adjudicated token (see ``verify.adjudicate_accessory_maps``)."""
+    if anh_tag not in ANH_TAGS:
+        raise ValueError(f"unknown anharmonic tag {anh_tag!r}")
+    anh = anh_element(anh_tag)
     k2 = k * k
-    kp2 = 1 - k2
-    if anh_tag == "I":
-        return h
-    if anh_tag == "A":
-        return (h - k2 * gamma_sum) / kp2
-    if anh_tag == "B":
-        return -h + gamma_sum
-    if anh_tag == "C":
-        return h / k2
-    if anh_tag == "D":
-        return (-h + gamma_sum) / kp2
-    if anh_tag == "E":
-        return -h / k2 + gamma_sum
-    raise ValueError(f"unknown anharmonic tag {anh_tag!r}")
+    a, b, c = anh.scale
+    if anh.gamma is not None:
+        h = h + scalar_value(anh.gamma, k, cmath.sqrt(1 - k2)) * gamma_sum
+    return h / ((-1) ** a * k2**b * (1 - k2) ** c)
 
 
 def sigma_and_h(row: TransformRow, p: ParamTuple) -> ParamTuple:
@@ -304,10 +293,8 @@ def sigma_and_h(row: TransformRow, p: ParamTuple) -> ParamTuple:
     unaltered), and the permutation-invariant sum of g(g+1) makes the result
     independent of which representative tuple is supplied.
     """
-    exps = p.exponents
-    new_exps = tuple(exps[row.perm[j]] for j in range(4))
-    kappa = anh_element(row.anh).kappa_value(p.k)
-    kappa = _check_modulus(kappa)
+    new_exps = tuple(p.exponents[j] for j in row.perm)
+    kappa = _check_modulus(anh_element(row.anh).kappa_value(p.k))
     hX = accessory_map(row.anh, p.h, p.gamma_sum(), p.k)
     return ParamTuple(*new_exps, h=hX, k=kappa)
 

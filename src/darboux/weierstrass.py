@@ -230,7 +230,9 @@ def darboux_potential_algebraic(x: complex, ev: EValues, xi, eta, mu, nu,
 
 def accessory_weierstrass(tag: str, h: complex, tau: complex) -> complex:
     """Weierstrass-form accessory map: I,C keep h; A,E give (tau-1)^2 h;
-    B,D give tau^2 h."""
+    B,D give tau^2 h.  A's and E's stored matrices give the e-values the
+    factor (tau+1)^2; (tau-1)^2 is that of ((1,0),(-1,1)) and ((0,1),(-1,1)),
+    the same Gamma(2) cosets (same lambda and rho at tau = 0.31+1.13j)."""
     hw = anh_element(tag).hW_tag
     if hw == "h":
         return h

@@ -153,14 +153,37 @@ class TestVariableMaps:
             apply_to_variable(gii_by_name("C0"), 0.5, 1.0)
 
 
+#: h_X(h, S, k^2) of each type in closed form, as the maps read before they
+#: were stored as the data gamma of h_X = (h + gamma S) / a^2
+CLOSED_FORMS = {
+    "I": lambda h, S, k2: h,
+    "A": lambda h, S, k2: (h - k2 * S) / (1 - k2),
+    "B": lambda h, S, k2: -h + S,
+    "C": lambda h, S, k2: h / k2,
+    "D": lambda h, S, k2: (-h + S) / (1 - k2),
+    "E": lambda h, S, k2: -h / k2 + S,
+}
+
+
 class TestAccessory:
     def test_printed_examples(self):
         p = GENERIC_P
         s = p.gamma_sum()
-        assert accessory_map("C", p.h, s, p.k) == pytest.approx(p.h / 0.36)
-        assert accessory_map("B", p.h, s, p.k) == pytest.approx(-p.h + s)
         hB = sigma_and_h(gii_by_name("B0"), p).h
         assert hB == pytest.approx(-p.h + s)
+
+    @pytest.mark.parametrize("k", [0.3, 0.6, 0.9, 0.5 + 0.3j, -0.4 + 1.2j, 1.7, 2 * cmath.exp(2.5j)])
+    def test_matches_the_closed_forms(self, k):
+        # no data form keeps every bit of the closed forms: E's -h/k^2 + S
+        # becomes (h - k^2 S) / (-k^2)
+        for X in ANH_TAGS:
+            for h, S in ((0.77, 1.94), (-3.7 + 0.4j, -0.3 + 2j), (250.0, 12.0)):
+                want = CLOSED_FORMS[X](h, S, k * k)
+                assert abs(accessory_map(X, h, S, k) - want) <= 4e-15 * abs(want)
+
+    def test_unknown_tag_refused(self):
+        with pytest.raises(ValueError, match="unknown anharmonic tag"):
+            accessory_map("F", 0.77, 1.94, 0.6)
 
     def test_sigma_of_I1(self):
         pt = sigma_and_h(gii_by_name("I1"), GENERIC_P)

@@ -168,7 +168,7 @@ class TestHarness:
     def test_zero_failures(self):
         report = identity_harness()
         assert report.passed()
-        assert len(report.records) == 145
+        assert len(report.records) == 127
 
     def test_each_side_evaluated_once_per_modulus(self):
         # per modulus: one old side and 24 substituted sides, one original
@@ -200,7 +200,8 @@ class TestHarness:
         assert ("joint", "D1", "substitution") in repaired
         assert ("joint", "C3", "dn") in repaired
         assert ("quarter", "D", "K") in repaired
-        assert len(report.repairs) >= 3
+        assert ("accessory", "D", "gamma") in repaired
+        assert len(report.repairs) >= 4
 
     def test_row_identity_example(self):
         # row I2 sn-entry: sn(u+K+iK') = dc(u)/k
@@ -276,6 +277,12 @@ class TestIndeterminateSamples:
             else:
                 assert r.status in ("ok", "repaired")
 
+    def test_rho_gated_at_tol(self):
+        # the identity's pairing is exact; the others' errors are rounding (~1e-15)
+        _, records = adjudicate_lambda_pairings(tol=1e-17)
+        assert {r.row: r.status for r in records if r.table == "rho"} == {
+            "I": "ok", "A": "failed", "B": "failed", "C": "failed", "D": "failed", "E": "failed"}
+
     def test_harness_at_k_equal_kp(self):
         # k = k' = 1/sqrt(2): k and k' cannot be told apart, so no glyph
         # entry or quarter period is decided
@@ -285,6 +292,11 @@ class TestIndeterminateSamples:
         assert len(glyphs) == 72 and all(r.status == "failed" for r in glyphs)
         assert len(quarters) == 12 and all(r.status == "failed" for r in quarters)
         assert all(r.note.endswith("candidates passed") for r in glyphs + quarters)
+        # gamma = 0 of I and C is told apart from every token; the others are not
+        accessory = {r.row: r for r in report.records if r.table == "accessory"}
+        assert {X: r.status for X, r in accessory.items()} == {
+            "I": "ok", "A": "failed", "B": "failed", "C": "ok", "D": "failed", "E": "failed"}
+        assert all(accessory[X].note.endswith("candidates passed") for X in "ABDE")
 
 
 class TestEmptySamples:
@@ -314,7 +326,7 @@ class TestFrozenData:
         assert json.loads(json.dumps(row_records)) == _jsonl(DATA_DIR / "transform_rows.jsonl")
 
     #: The gate each repair record's max_error was adopted at, by table.
-    REPAIR_GATES = {"joint": 1e-10, "quarter": 1e-10, "lambda": 1e-10, "rho": 1e-8}
+    REPAIR_GATES = {"joint": 1e-10, "quarter": 1e-10, "lambda": 1e-10, "rho": 1e-10, "accessory": 1e-10}
 
     @staticmethod
     def _shipped(name):
@@ -361,6 +373,8 @@ class TestFrozenData:
         written = {(r["table"], r["row"], r["fld"])
                    for r in _jsonl(tmp_path / "table_repairs.jsonl") if r["status"] == "failed"}
         assert printed and written == printed
+        # --tol reaches the accessory maps too: their errors reach ~9e-15
+        assert {row for check, row, _ in printed if check == "accessory"} == set("IABCDE")
 
     def test_emit_docs_runs_each_adjudicator_once(self, tmp_path, monkeypatch, capsys):
         calls = {}
