@@ -159,6 +159,10 @@ def _walk_grid() -> np.ndarray:
 
 _WALK = _walk_grid()
 
+#: probes per ``sample_points`` walk call: a block's sn call ends the walk at
+#: its first crossing, and every crossing measured lies in the first block
+_WALK_BLOCK = 48
+
 
 #: points ``sample_points`` spreads over the admissible stretch of its ray
 SAMPLE_COUNT = 5
@@ -172,12 +176,13 @@ def sample_points(sid: SolutionId, p: ParamTuple) -> list[complex]:
     (fixed rays keep the principal-branch prefactor on one sheet).
 
     The ray is walked outward over ``_WALK``, in units of the transformed
-    radius min(1, 1/|kappa|) (one batched sn call over the whole walk; a
-    NonConvergence of that call propagates), until |sn(w, kappa)| reaches
-    80% of the certified bound; ``SAMPLE_COUNT`` points are spread over the
-    admissible stretch, staying clear of the singular point itself
-    (finite-difference stencils around the returned points must keep the
-    residual oracle's pole guard).
+    radius min(1, 1/|kappa|) (one batched sn call per ``_WALK_BLOCK``
+    probes, stopping at the first block that crosses; a NonConvergence of a
+    walked block propagates), until |sn(w, kappa)| reaches 80% of the
+    certified bound; ``SAMPLE_COUNT`` points are spread over the admissible
+    stretch, staying clear of the singular point itself (finite-difference
+    stencils around the returned points must keep the residual oracle's
+    pole guard).
     """
     pt = transformed_tuple(sid, p)
     a, b = sid.row.substitution_parts(p.k)
@@ -186,8 +191,13 @@ def sample_points(sid: SolutionId, p: ParamTuple) -> list[complex]:
     direction = cmath.exp(1j * SAMPLE_ANGLE)
     walk = _WALK * radius
     # t_max: the walk point before the first probe with |sn| >= bound, else the end
-    crossed = np.flatnonzero(np.abs(jacobi_sn_cn_dn(walk[1:] * direction, pt.k)[0]) >= bound)
-    t_max = walk[crossed[0] if crossed.size else -1]
+    t_max = walk[-1]
+    for lo in range(1, walk.size, _WALK_BLOCK):
+        probes = walk[lo:lo + _WALK_BLOCK] * direction
+        crossed = np.flatnonzero(np.abs(jacobi_sn_cn_dn(probes, pt.k)[0]) >= bound)
+        if crossed.size:
+            t_max = walk[lo - 1 + crossed[0]]
+            break
     w = np.linspace(0.35 * t_max, 0.95 * t_max, SAMPLE_COUNT) * direction
     sn = jacobi_sn_cn_dn(w, pt.k)[0]
     return [complex(x) for x in (w / a - b)[np.abs(sn) < bound]]

@@ -168,15 +168,15 @@ def _theta_array(z: np.ndarray, q: complex) -> tuple[np.ndarray, ...]:
     product of the ``_theta_rows`` weights with np.sin / np.cos of (2n+1) z
     and 2n z, to the ``_theta_terms`` count of max |Im z|."""
     w12, sw12, w34, sw34 = _theta_rows(q, _theta_terms(q, float(np.max(np.abs(z.imag), initial=0.0))))
-    odd = np.outer(np.arange(1, 2 * len(w12), 2), z)
+    odd = np.arange(1, 2 * len(w12), 2)[:, None] * z
     q4 = 2 * q**0.25
     with np.errstate(over="ignore", invalid="ignore"):
-        even = np.cos(np.outer(np.arange(2, 2 * len(w34) + 1, 2), z))
+        even = np.cos(np.arange(2, 2 * len(w34) + 1, 2)[:, None] * z)
         t1 = q4 * (sw12[:, None] * np.sin(odd)).sum(axis=0)
         t2 = q4 * (w12[:, None] * np.cos(odd)).sum(axis=0)
         t3 = 1 + (w34[:, None] * even).sum(axis=0)
         t4 = 1 + (sw34[:, None] * even).sum(axis=0)
-    if not all(np.isfinite(t).all() for t in (t1, t2, t3, t4)):
+    if not np.isfinite((t1, t2, t3, t4)).all():
         raise NonConvergence(f"theta series overflowed at |Im z| up to {np.max(np.abs(z.imag)):.6g}")
     return t1, t2, t3, t4
 
@@ -242,21 +242,33 @@ def lambda_of_tau(tau: complex) -> complex:
     return (t2 / t3) ** 4
 
 
-def _lattice_remainder(u: complex, p1: complex, p2: complex, origin: complex = 0j) -> float:
-    """Distance from u to origin + Z*p1 + Z*p2; NonConvergence naming u for a non-finite u."""
-    if not cmath.isfinite(u):
+#: the rounded lattice cell's neighbours (da, db), and as (9, 1) columns
+_CELLS = tuple((da, db) for da in (-1, 0, 1) for db in (-1, 0, 1))
+_CELL_A, _CELL_B = np.array(_CELLS, float).T[:, :, None]
+
+
+def _lattice_remainder(u, p1: complex, p2: complex, origin: complex = 0j):
+    """Distance from u to origin + Z*p1 + Z*p2: a float for a scalar u, a
+    float array for a 1-D array u, with the same bits per point (np.hypot is
+    the hypot of Python's complex abs).  A non-finite u raises
+    NonConvergence naming it, an array's first, before any distance."""
+    array = isinstance(u, np.ndarray)
+    if array:
+        bad = ~np.isfinite(u)
+        if bad.any():
+            raise NonConvergence(f"argument u = {u[bad.argmax()]} is not finite")
+    elif not cmath.isfinite(u):
         raise NonConvergence(f"argument u = {u} is not finite")
     u = u - origin
     det = p1.real * p2.imag - p1.imag * p2.real
     a = (u.real * p2.imag - u.imag * p2.real) / det
     b = (p1.real * u.imag - p1.imag * u.real) / det
+    if array:
+        d = (a - np.round(a) + _CELL_A) * p1 + (b - np.round(b) + _CELL_B) * p2
+        return np.hypot(d.real, d.imag).min(axis=0)
     a -= round(a)
     b -= round(b)
-    best = float("inf")
-    for da in (-1, 0, 1):
-        for db in (-1, 0, 1):
-            best = min(best, abs((a + da) * p1 + (b + db) * p2))
-    return best
+    return min(abs((a + da) * p1 + (b + db) * p2) for da, db in _CELLS)
 
 
 def singular_points(k: complex) -> tuple[complex, complex, complex, complex]:

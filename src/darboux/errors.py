@@ -96,4 +96,5 @@ class UntrustedCalibration(DarbouxError):
 
 class InconclusiveAdjudication(DarbouxError):
     """The residual oracle cannot pick a recursion variant: both pass on a
-    test set where the disputed term does not vanish, or neither passes."""
+    test set where the disputed term does not vanish, or neither passes.
+    Also: a table field that failed adjudication has no value to use."""

@@ -608,6 +608,11 @@ class DlValue:
 #: normal float for m < 1022.
 _POWER_BLOCK = 1000
 
+#: Largest |shift| ``_power_sum`` hands to ldexp: any nonzero finite double
+#: times 2^2200 is past 2^1024, and times 2^-2200 below 2^-1075, so a larger
+#: shift saturates to the same inf or 0.
+_SHIFT_CLIP = 2200
+
 
 def _ldexp(z: np.ndarray, e) -> np.ndarray:
     """z 2^e for a complex array z, in place."""
@@ -624,7 +629,9 @@ def _power_sum(coeffs: SeriesCoefficients, s2: np.ndarray, upto: int):
     (C_m's mantissa times r^m) is scaled once by 2^(exps[m] + m e): a term
     has the bits of the term-by-term product C_m s2^m, also where C_m or
     s2^m alone is outside the float range.  Every _POWER_BLOCK terms the
-    running power is renormalised.
+    running power is renormalised.  The exponent bookkeeping is int64; the
+    shift handed to ldexp is clipped to +-_SHIFT_CLIP and cast to a C int,
+    whose ldexp loop is about 10x faster than numpy's int64 one.
     """
     _, e = np.frexp(np.abs(s2))
     r = _ldexp(s2.copy(), -e)
@@ -640,7 +647,7 @@ def _power_sum(coeffs: SeriesCoefficients, s2: np.ndarray, upto: int):
         pw *= coeffs.values[m]
         shift = coeffs.exps[m] + head_e[:, None] + (m - lo) * e[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = _ldexp(pw, shift)
+            terms = _ldexp(pw, np.clip(shift, -_SHIFT_CLIP, _SHIFT_CLIP).astype(np.intc))
         total += terms.sum(axis=1)
         _, f = np.frexp(np.abs(head))
         head, head_e = _ldexp(head, -f), head_e + m.size * e + f

@@ -30,6 +30,7 @@ from .elliptic import (
     jacobi_sn_cn_dn,
     singular_points,
 )
+from .errors import InconclusiveAdjudication
 
 #: scalar token: value = i^a * k^b * k'^c, stored as (a, b, c)
 Scalar = tuple[int, int, int]
@@ -127,8 +128,10 @@ class AnhElement:
     permutation, modulus map, substitution scale, quarter periods, gamma, h-map tag.
 
     ``cross_ratio``, ``rho`` and ``gamma`` are adjudicated; a printed reading
-    that differs is kept in ``repairs``.  See the Open Questions notes in the
-    README.
+    that differs is kept in ``repairs``.  A ``gamma`` string is a printed
+    reading outside the token family that failed adjudication (tables
+    written at a tolerance no candidate meets); ``accessory_map`` refuses
+    it.  See the Open Questions notes in the README.
     """
 
     tag: str
@@ -141,7 +144,7 @@ class AnhElement:
     quarter_K: tuple[complex, complex]       # K(kappa) = scale_q*(cK*K + cKp*K')
     quarter_Kp: tuple[complex, complex]
     quarter_scale: Scalar
-    gamma: Scalar | None                     # h_X = (h + gamma*S) / scale^2; None is 0
+    gamma: Scalar | str | None               # h_X = (h + gamma*S) / scale^2; None is 0
     hW_tag: str                              # Weierstrass-form accessory map
     repairs: tuple[str, ...]
 
@@ -198,11 +201,21 @@ def _parse_coeff(v) -> tuple[complex, complex]:
     return (complex(v[0][0], v[0][1]), complex(v[1][0], v[1][1]))
 
 
+def _parse_gamma(v) -> Scalar | str | None:
+    """A stored gamma: None (0), a token, or an off-family printed reading kept as written."""
+    return v if v is None or isinstance(v, str) else _parse_scalar(v)
+
+
 @lru_cache(maxsize=1)
 def _load_tables() -> tuple[dict[str, AnhElement], dict[str, TransformRow]]:
-    pkg = resources.files("darboux.data")
+    return _read_tables(resources.files("darboux.data"))
+
+
+def _read_tables(data_dir) -> tuple[dict[str, AnhElement], dict[str, TransformRow]]:
+    """The anharmonic elements and transformation rows of the two data
+    files in `data_dir` (a path or a package resource directory)."""
     anh = {}
-    for line in (pkg / "anh_elements.jsonl").read_text().splitlines():
+    for line in (data_dir / "anh_elements.jsonl").read_text().splitlines():
         if not line.strip():
             continue
         r = json.loads(line)
@@ -217,12 +230,12 @@ def _load_tables() -> tuple[dict[str, AnhElement], dict[str, TransformRow]]:
             quarter_K=_parse_coeff(r["quarter_K"]),
             quarter_Kp=_parse_coeff(r["quarter_Kp"]),
             quarter_scale=_parse_scalar(r["quarter_scale"]),
-            gamma=None if r["gamma"] is None else _parse_scalar(r["gamma"]),
+            gamma=_parse_gamma(r["gamma"]),
             hW_tag=r["hW_tag"],
             repairs=tuple(r["repairs"]),
         )
     rows = {}
-    for line in (pkg / "transform_rows.jsonl").read_text().splitlines():
+    for line in (data_dir / "transform_rows.jsonl").read_text().splitlines():
         if not line.strip():
             continue
         r = json.loads(line)
@@ -275,10 +288,14 @@ def apply_to_variable(row: TransformRow, u: complex, k: complex) -> tuple[comple
 def accessory_map(anh_tag: str, h: complex, gamma_sum: complex, k: complex) -> complex:
     """The accessory-parameter map h_X = (h + gamma S) / a^2 (Jacobian form):
     a is the type's substitution scale, a^2 built with k'^2 = 1 - k^2, and
-    gamma its adjudicated token (see ``verify.adjudicate_accessory_maps``)."""
+    gamma its adjudicated token (see ``verify.adjudicate_accessory_maps``).
+    A gamma that failed adjudication raises InconclusiveAdjudication."""
     if anh_tag not in ANH_TAGS:
         raise ValueError(f"unknown anharmonic tag {anh_tag!r}")
     anh = anh_element(anh_tag)
+    if isinstance(anh.gamma, str):
+        raise InconclusiveAdjudication(
+            f"accessory map of {anh_tag}: field gamma was not adjudicated (printed {anh.gamma!r})")
     k2 = k * k
     a, b, c = anh.scale
     if anh.gamma is not None:

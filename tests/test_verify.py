@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from darboux import verify
+from darboux import symmetry, verify
 from darboux.cli import EXIT_OK, EXIT_VERIFY, main
 from darboux.elliptic import (
     ModulusData,
@@ -375,6 +375,20 @@ class TestFrozenData:
         assert printed and written == printed
         # --tol reaches the accessory maps too: their errors reach ~9e-15
         assert {row for check, row, _ in printed if check == "accessory"} == set("IABCDE")
+
+    def test_emit_docs_at_a_failing_tol_writes_loadable_tables(self, tmp_path, monkeypatch, capsys):
+        # every failed field keeps its printed reading; row D's gamma is off
+        # the token family, so it stays a string that accessory_map refuses
+        assert main(["verify", "--tol", "1e-17", "--emit-docs", str(tmp_path)]) == EXIT_VERIFY
+        tables = symmetry._read_tables(tmp_path / "data")
+        anh, rows = tables
+        assert set(anh) == set(symmetry.ANH_TAGS) and len(rows) == 24
+        assert anh["D"].gamma == verify.PRINTED_GAMMA["D"]
+        monkeypatch.setattr(symmetry, "_load_tables", lambda: tables)
+        with pytest.raises(InconclusiveAdjudication, match=r"^accessory map of D: field gamma "):
+            symmetry.accessory_map("D", 0.77, 1.94, 0.6)
+        for X in "IABCE":   # on-family printed tokens still give a value
+            assert cmath.isfinite(symmetry.accessory_map(X, 0.77, 1.94, 0.6))
 
     def test_emit_docs_runs_each_adjudicator_once(self, tmp_path, monkeypatch, capsys):
         calls = {}
