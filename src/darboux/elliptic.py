@@ -62,13 +62,22 @@ def _check_modulus(k: complex) -> complex:
 
 
 def _agm(a: complex, b: complex) -> complex:
-    """Arithmetic-geometric mean with the right-choice square root."""
+    """Arithmetic-geometric mean with the right-choice square root.
+
+    Returns a once |a - b| <= 1e-17 |a|.  Otherwise the steps stop at the
+    first one that leaves (a, b) unchanged, since every later step would
+    repeat it (quadratic convergence gets there within about 16 steps), or
+    after 64; the pair they stop on is accepted if a and b agree to 1e-12,
+    else NonConvergence."""
     for _ in range(64):
         if abs(a - b) <= 1e-17 * abs(a):
             return a
-        a, b = (a + b) / 2, cmath.sqrt(a * b)
-        if abs(a - b) > abs(a + b):
-            b = -b
+        a1, b1 = (a + b) / 2, cmath.sqrt(a * b)
+        if abs(a1 - b1) > abs(a1 + b1):
+            b1 = -b1
+        if a1 == a and b1 == b:
+            break
+        a, b = a1, b1
     if abs(a - b) <= 1e-12 * max(abs(a), 1.0):
         return a
     raise NonConvergence(f"AGM failed to contract for ({a}, {b})")
@@ -250,25 +259,38 @@ _CELL_A, _CELL_B = np.array(_CELLS, float).T[:, :, None]
 def _lattice_remainder(u, p1: complex, p2: complex, origin: complex = 0j):
     """Distance from u to origin + Z*p1 + Z*p2: a float for a scalar u, a
     float array for a 1-D array u, with the same bits per point (np.hypot is
-    the hypot of Python's complex abs).  A non-finite u raises
-    NonConvergence naming it, an array's first, before any distance."""
-    array = isinstance(u, np.ndarray)
-    if array:
+    the hypot of Python's complex abs).  A non-finite u, or a u so large that
+    its lattice coordinates are not finite, raises NonConvergence naming it,
+    an array's first, before any distance."""
+    det = p1.real * p2.imag - p1.imag * p2.real
+    if isinstance(u, np.ndarray):
         bad = ~np.isfinite(u)
         if bad.any():
             raise NonConvergence(f"argument u = {u[bad.argmax()]} is not finite")
-    elif not cmath.isfinite(u):
-        raise NonConvergence(f"argument u = {u} is not finite")
-    u = u - origin
-    det = p1.real * p2.imag - p1.imag * p2.real
-    a = (u.real * p2.imag - u.imag * p2.real) / det
-    b = (p1.real * u.imag - p1.imag * u.real) / det
-    if array:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = u - origin
+            a = (w.real * p2.imag - w.imag * p2.real) / det
+            b = (p1.real * w.imag - p1.imag * w.real) / det
+        bad = ~(np.isfinite(a) & np.isfinite(b))
+        if bad.any():
+            raise _beyond_lattice(u[bad.argmax()])
         d = (a - np.round(a) + _CELL_A) * p1 + (b - np.round(b) + _CELL_B) * p2
         return np.hypot(d.real, d.imag).min(axis=0)
-    a -= round(a)
-    b -= round(b)
+    if not cmath.isfinite(u):
+        raise NonConvergence(f"argument u = {u} is not finite")
+    w = u - origin
+    a = (w.real * p2.imag - w.imag * p2.real) / det
+    b = (p1.real * w.imag - p1.imag * w.real) / det
+    try:
+        a -= round(a)
+        b -= round(b)
+    except (OverflowError, ValueError):     # round() of an infinite or NaN coordinate
+        raise _beyond_lattice(u) from None
     return min(abs((a + da) * p1 + (b + db) * p2) for da, db in _CELLS)
+
+
+def _beyond_lattice(u) -> NonConvergence:
+    return NonConvergence(f"argument u = {u} is too large: its lattice coordinates are not finite")
 
 
 def singular_points(k: complex) -> tuple[complex, complex, complex, complex]:

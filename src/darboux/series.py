@@ -86,7 +86,7 @@ def _check_log_case(xi: complex) -> None:
 
 def _weights(p: ParamTuple, variant: str, n: int):
     """The h-free recursion table of p for m = 0..n-1: the three diagonals of
-    the truncation matrix J as tuples M, D, K of Python scalars, with
+    the truncation matrix J as lists M, D, K of Python scalars, with
     L_m = h - D[m] (D_m = A_m + B_m - c: the two squares of L_m and the
     paper variant's constant c).  Each public entry point builds it once,
     for the largest index it reads, and passes it down; an entry does not
@@ -118,7 +118,7 @@ def _weights(p: ParamTuple, variant: str, n: int):
         finite = False
     if not finite:
         raise CoefficientOverflow(f"recursion tables overflow for exponents {(xi, eta, mu, nu)} and k = {k}")
-    return tuple(M.tolist()), tuple(D.tolist()), tuple(K.tolist())
+    return M.tolist(), D.tolist(), K.tolist()
 
 
 def _check_h(h: complex) -> None:
@@ -215,12 +215,13 @@ def dl_coefficients(
         raise ValueError(f"unknown mode {mode!r}")
     if N < 0:
         raise ValueError("N must be >= 0")
-    if mode == "forward" or termination_check(p) is not None:
-        return _coefficients_forward(p, _weights(p, variant, N), N)
+    q = termination_check(p)
+    if mode == "forward" or q is not None:
+        return _coefficients_forward(p, _weights(p, variant, N), N, q)
     depth = max(2 * N, 200)     # the fraction's depth cap, and the depth of its tails
     tables = _weights(p, variant, depth + 1)
     if mode == "auto" and not _is_cf_root(p.h, tables, depth):
-        return _coefficients_forward(p, tables, N)
+        return _coefficients_forward(p, tables, N, q)
     g, _, _, tails = _cf_pass(p.h, tables, depth, tails=True)
     root = abs(g) < _ROOT_TOL
     vals = [1.0 + 0j]
@@ -239,28 +240,35 @@ def _finite(vals: list) -> np.ndarray:
     return values
 
 
-def _coefficients_forward(p: ParamTuple, tables, N: int) -> SeriesCoefficients:
+def _coefficients_forward(p: ParamTuple, tables, N: int, q: int | None) -> SeriesCoefficients:
+    """C_0..C_N by the forward recursion over the tables; `q` is p's
+    ``termination_check``.  C_m is kept as a mantissa at the scale 2^e: once
+    |C_m| passes 2^512 both carried terms are scaled down by 2^512, and
+    exps[m:] go up by 512."""
     M, D, K = tables
     h = p.h
     _check_h(h)
-    prev, cur, e = 0j, 1.0 + 0j, 0          # C_{m-1}, C_m at the common scale 2^e
-    vals, es = [cur], [e]
+    prev, cur = 0j, 1.0 + 0j               # C_{m-1}, C_m at the common scale
+    vals, rescaled = [cur], []
     for m in range(N):
         prev, cur = cur, -((h - D[m]) * cur + K[m] * prev) / M[m]
         if abs(cur) > _RESCALE_LIMIT:
             cur = complex(math.ldexp(cur.real, -_RESCALE_SHIFT), math.ldexp(cur.imag, -_RESCALE_SHIFT))
             prev = complex(math.ldexp(prev.real, -_RESCALE_SHIFT), math.ldexp(prev.imag, -_RESCALE_SHIFT))
-            e += _RESCALE_SHIFT
+            rescaled.append(m + 1)
         vals.append(cur)
-        es.append(e)
-    values, exps = _finite(vals), np.array(es, dtype=np.int64)
-    term = _detect_termination(p, values, exps)
+    values, exps = _finite(vals), np.zeros(N + 1, dtype=np.int64)
+    for m in rescaled:
+        exps[m:] += _RESCALE_SHIFT
+    term = _detect_termination(q, values, exps)
     radius = math.inf if term is not None else min(1.0, 1.0 / abs(p.k))
     return SeriesCoefficients(values=values, exps=exps, mode="forward", terminated_at=term, radius=radius)
 
 
-def _detect_termination(p: ParamTuple, values: np.ndarray, exps: np.ndarray) -> int | None:
-    q = termination_check(p)
+def _detect_termination(q: int | None, values: np.ndarray, exps: np.ndarray) -> int | None:
+    """q where the tuple terminates at q (its ``termination_check``) and
+    every computed C_m past q is below 1e-10 of the largest head term; those
+    are then set to exact zeros."""
     if q is None or q >= len(values) - 1:
         return None
     mag = [math.log2(abs(v)) + e if v != 0 else -math.inf for v, e in zip(values.tolist(), exps.tolist())]

@@ -1,12 +1,15 @@
 """Elliptic core: quarter periods, theta series, Jacobi functions, lambda."""
 
 import cmath
+import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import ellipj
 
+from darboux import elliptic
 from darboux.elliptic import (
     JACOBI_CODES,
     SINGULAR_POINT_NAMES,
@@ -21,13 +24,16 @@ from darboux.elliptic import (
     theta,
 )
 from darboux.errors import (
+    DarbouxError,
     DegenerateModulus,
     LowerHalfPlane,
     NomeOutOfDisc,
     NonConvergence,
     PoleProximity,
 )
-from darboux.symmetry import GlyphEntry
+from darboux.symmetry import GlyphEntry, ParamTuple
+from darboux.verify import ode_residual
+from darboux.weierstrass import evalues_from_modulus, wp
 from conftest import K_VALUES, guarded_complex_grid, quadrature_K
 
 
@@ -60,6 +66,113 @@ class TestCompleteElliptic:
                 complete_elliptic(bad)
         with pytest.raises(DegenerateModulus):
             complete_elliptic(complex("inf"))
+
+
+def oracle_agm_pairs(a, b):
+    """The pairs of the AGM run for its full 64 steps (the loop before it
+    stopped at a fixed point): the start, then one pair per step, up to the
+    early stop at |a - b| <= 1e-17 |a|."""
+    pairs = [(a, b)]
+    for _ in range(64):
+        if abs(a - b) <= 1e-17 * abs(a):
+            break
+        a, b = (a + b) / 2, cmath.sqrt(a * b)
+        if abs(a - b) > abs(a + b):
+            b = -b
+        pairs.append((a, b))
+    return pairs
+
+
+def oracle_agm(a, b):
+    pairs = oracle_agm_pairs(a, b)
+    a, b = pairs[-1]
+    if len(pairs) <= 64 or abs(a - b) <= 1e-12 * max(abs(a), 1.0):
+        return a
+    raise NonConvergence(f"AGM failed to contract for ({a}, {b})")
+
+
+def oracle_complete_elliptic(k):
+    k = complex(k)
+    kp = cmath.sqrt(1 - k * k)
+    return cmath.pi / (2 * oracle_agm(1.0 + 0j, kp)), cmath.pi / (2 * oracle_agm(1.0 + 0j, k))
+
+
+def _agm_moduli(n_per_class=420, seed=23):
+    """Seeded moduli of five classes: real (either sign, either sign of a
+    zero imaginary part), complex inside the unit circle, |k| > 1, near 0
+    and near 1, each at any argument where it has one."""
+    rng = random.Random(seed)
+    arg = lambda: rng.uniform(-math.pi, math.pi)   # noqa: E731
+    classes = (
+        lambda: complex(rng.choice((-1, 1)) * rng.uniform(0.02, 0.98), rng.choice((0.0, -0.0))),
+        lambda: cmath.rect(rng.uniform(0.1, 0.95), arg()),
+        lambda: cmath.rect(rng.uniform(1.05, 4.0), arg()),
+        lambda: cmath.rect(10 ** rng.uniform(-6.5, -2), arg()),
+        lambda: complex(1 - 10 ** rng.uniform(-12, -3)),
+    )
+    return [draw() for _ in range(n_per_class) for draw in classes]
+
+
+AGM_MODULI = _agm_moduli()
+
+
+class _CountingCmath:
+    """cmath with a count of its sqrt calls: one per AGM step."""
+
+    def __init__(self):
+        self.sqrt_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+    def sqrt(self, z):
+        self.sqrt_calls += 1
+        return cmath.sqrt(z)
+
+
+class TestAgm:
+    def test_quarter_periods_equal_the_64_step_loop(self):
+        assert len(AGM_MODULI) >= 2000
+        for k in AGM_MODULI:
+            assert repr(complete_elliptic(k)) == repr(oracle_complete_elliptic(k)), k
+
+    def test_steps_stop_at_the_first_fixed_point(self, monkeypatch):
+        spy = _CountingCmath()
+        monkeypatch.setattr(elliptic, "cmath", spy)
+        runs, agm = [], elliptic._agm
+
+        def counted(a, b):
+            before = spy.sqrt_calls
+            try:
+                return agm(a, b)
+            finally:
+                runs.append((a, b, spy.sqrt_calls - before))
+
+        monkeypatch.setattr(elliptic, "_agm", counted)
+        for k in AGM_MODULI:
+            complete_elliptic(k)
+        late = 0
+        for a, b, steps in runs:
+            pairs = oracle_agm_pairs(a, b)
+            fixed = next((n for n in range(1, len(pairs)) if pairs[n] == pairs[n - 1]), None)
+            # never a step past the first repeated pair; all 64 where there is none
+            assert steps == (len(pairs) - 1 if fixed is None else fixed), (a, b)
+            late += fixed is not None and steps > 20
+        # quadratic convergence reaches the fixed point within 20 steps, but
+        # a pair can drift by an ulp every few steps first (k = 0.6114...j
+        # settles after 24): 4 of these 4,200 pairs (and 10 never settle)
+        assert late <= len(runs) // 200
+
+    @pytest.mark.parametrize("a, b", [(1.0 + 0j, complex(math.inf, 0.0)), (1.0 + 0j, complex(0.0, math.inf)),
+                                      (1.0 + 0j, complex(math.nan, 0.0)), (1e308 + 0j, 1e308j)])
+    def test_a_pair_that_does_not_contract_is_refused(self, a, b):
+        # an infinite part turns into NaN in the first steps; a * b overflows in the last pair
+        with pytest.raises(NonConvergence, match="AGM failed to contract"):
+            elliptic._agm(a, b)
+
+    def test_a_modulus_whose_square_overflows_is_refused(self):
+        with pytest.raises(NonConvergence, match="AGM failed to contract"):
+            complete_elliptic(1e200)
 
 
 class TestTheta:
@@ -208,6 +321,18 @@ class TestJacobi:
     def test_unknown_code(self):
         with pytest.raises(ValueError):
             jacobi("xx", 0.3, 0.6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_argument_is_typed(self):
+        # u = 1e308 puts the lattice coordinate u / (2K) past the float range
+        p = ParamTuple(0, 0, 0, 1, 0.83, k=0.6)
+        calls = (lambda: jacobi("sn", 1e308, 0.6),
+                 lambda: wp(1e308, evalues_from_modulus(0.6), 0.6),
+                 lambda: ode_residual(np.sin, p, [1e308]),
+                 lambda: ode_residual(np.sin, p, [0.3, -1.7e308 + 1e308j]))
+        for call in calls:
+            with pytest.raises(DarbouxError, match="lattice coordinates are not finite"):
+                call()
 
 
 class TestNomeTau:

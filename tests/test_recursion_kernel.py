@@ -328,6 +328,41 @@ def test_evaluation_with_coefficients_builds_no_table(builds):
     assert builds == []
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("h", [-1e8 + 1e8j, 1e12])
+@pytest.mark.parametrize("k", [3.0, 3j, 2.5 + 1j])
+def test_forward_pass_through_several_rescales(k, h, variant):
+    # |C_m| grows like |k^2|^m from a large |h|: past 2^512 four or nine times
+    p = ParamTuple(0.1, 0.2, 0.3, 1.5, h, k=k)
+    got = coefficient_outcome(p, 200, variant, "forward")
+    assert len(np.unique(got[1])) >= 5
+    assert same_bits(got, outcome(oracle_forward, p, 200, variant))
+
+
+@pytest.mark.parametrize("mode", ["forward", "auto"])
+@pytest.mark.parametrize("exps, h, k", [((0.1, 0.2, 0.3, 1.5), 5.44, 0.6), ((0.17, 0.69, -0.05, 0.77), 9.18, 0.91),
+                                        ((0.82, -0.33, 0.66, 1.34), 6.67, 0.9999999972),
+                                        ((0.5, 0, 1, 2.2), 3.0, 1.7)])
+def test_real_modulus_with_complex_parameters_keeps_signed_zeros(exps, h, k, mode):
+    # every coefficient is real, and the sign of its zero imaginary part is
+    # decided by the order of the step's operations (the first three tuples
+    # see a step written x / (-M) flip some of them)
+    p = ParamTuple(*map(complex, exps), complex(h), k=complex(k))
+    got = coefficient_outcome(p, 200, "corrected", mode)
+    assert not got[0].imag.any() and np.signbit(got[0].imag).any() and not np.signbit(got[0].imag).all()
+    assert same_bits(got, outcome(oracle_forward, p, 200, "corrected"))
+
+
+@pytest.mark.parametrize("mode", ["auto", "forward", "minimal"])
+@pytest.mark.parametrize("p", [LAME_ROOT, TERMINATING, ParamTuple(0.1, 0.2, 0.3, 1.5, 5.44, k=0.6)],
+                         ids=["root", "terminating", "generic"])
+def test_one_termination_check_per_coefficient_call(monkeypatch, p, mode):
+    calls, check = [], series.termination_check
+    monkeypatch.setattr(series, "termination_check", lambda p: calls.append(p) or check(p))
+    dl_coefficients(p, 200, mode=mode)
+    assert calls == [p]
+
+
 @pytest.mark.parametrize("zero", [0, 0.0])
 def test_tables_keep_the_parameter_types(zero):
     p = ParamTuple(zero, zero, zero, zero, zero, k=0.05)
