@@ -53,7 +53,7 @@ _THETA_TOL = 1e-17
 
 def _check_modulus(k: complex) -> complex:
     k = complex(k)
-    if not (cmath.isfinite(k.real) and cmath.isfinite(k.imag)):
+    if not cmath.isfinite(k):
         raise DegenerateModulus(f"modulus must be finite, got {k}")
     k2 = k * k
     if abs(k2) < _DEGENERATE_TOL or abs(k2 - 1) < _DEGENERATE_TOL:

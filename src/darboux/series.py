@@ -140,13 +140,17 @@ def termination_check(p: ParamTuple) -> int | None:
 
     Either xi+eta+mu+nu = -2q-4 or xi+eta+mu-nu = -2q-3, with integer
     matching to tolerance 1e-9 for floating inputs; the smaller admissible
-    q wins.
+    q wins.  An int exponent beyond the float range raises
+    CoefficientOverflow.
     """
     xi, eta, mu, nu = p.exponents
-    qs = []
-    for total, offset in ((xi + eta + mu + nu, -4), (xi + eta + mu - nu, -3)):
+    try:
         # total = -2q + offset  =>  q = (offset - total) / 2
-        qc = (offset - total) / 2
+        qcs = [(offset - total) / 2 for total, offset in ((xi + eta + mu + nu, -4), (xi + eta + mu - nu, -3))]
+    except OverflowError:   # an int beyond the float range
+        raise CoefficientOverflow(f"exponents {(xi, eta, mu, nu)} are beyond the float range") from None
+    qs = []
+    for qc in qcs:
         if abs(qc.imag) < _INT_TOL and math.isfinite(qc.real):
             r = round(qc.real)
             if abs(qc.real - r) < _INT_TOL and r >= 0:

@@ -280,8 +280,8 @@ def _perm_index() -> dict[tuple[int, int, int, int], str]:
 
 def apply_to_variable(row: TransformRow, u: complex, k: complex) -> tuple[complex, complex]:
     """The substitution w = tau_{X_i}(u, k) and the new modulus kappa_X(k)."""
-    kappa = anh_element(row.anh).kappa_value(k)
-    kappa = _check_modulus(kappa)
+    _check_modulus(k)
+    kappa = _check_modulus(anh_element(row.anh).kappa_value(k))
     return row.substitution(u, k), kappa
 
 
@@ -308,8 +308,10 @@ def sigma_and_h(row: TransformRow, p: ParamTuple) -> ParamTuple:
 
     h_X depends only on the anharmonic part (the Klein translations leave it
     unaltered), and the permutation-invariant sum of g(g+1) makes the result
-    independent of which representative tuple is supplied.
+    independent of which representative tuple is supplied.  A modulus k or
+    kappa_X with k^2 in {0, 1} raises DegenerateModulus.
     """
+    _check_modulus(p.k)     # before kappa_X, whose k' powers divide by zero at k^2 = 1
     new_exps = tuple(p.exponents[j] for j in row.perm)
     kappa = _check_modulus(anh_element(row.anh).kappa_value(p.k))
     hX = accessory_map(row.anh, p.h, p.gamma_sum(), p.k)

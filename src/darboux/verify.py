@@ -24,6 +24,7 @@ import numpy as np
 from .elliptic import (
     JACOBI_CODES,
     ModulusData,
+    _check_modulus,
     _glyph,
     _lattice_remainder,
     complete_elliptic,
@@ -155,6 +156,13 @@ def _nonempty(sample, what: str):
     if len(sample) == 0:
         raise InsufficientData(f"empty {what}: no point to check")
     return sample
+
+
+def _moduli(k_values) -> list[complex]:
+    """The modulus sample as complex numbers: InsufficientData when empty,
+    DegenerateModulus at a modulus ``elliptic`` refuses (k^2 in {0, 1} or
+    not finite), before any table is evaluated."""
+    return [_check_modulus(k) for k in _nonempty(k_values, "modulus sample")]
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +333,8 @@ class HarnessReport:
 #: glyph) of the joint table, glyph-major; the printed entries are among them
 _REPAIR_SCALARS = tuple((a, b, c) for a in range(4) for b in (-1, 0, 1) for c in (-1, 0, 1))
 _CANDIDATES = tuple((s, g) for g in JACOBI_CODES for s in _REPAIR_SCALARS)
+#: the printed entries' positions in ``_CANDIDATES``, shape (row, field)
+_PRINTED_INDEX = np.array([[_CANDIDATES.index(e) for e in entries] for _, entries in PRINTED_ROWS.values()])
 
 
 def _adopt(table, row, fld, printed, err, hits, note, show=str):
@@ -371,20 +381,31 @@ def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
 
     The candidates of an entry are every i-power prefactor times k, k' to
     the power -1, 0 or 1 times every glyph.  Their sides, and each row's
-    substituted side, are evaluated once per modulus on the whole u grid;
-    all 432 are scored by array arithmetic, and ``_adopt`` takes the unique
-    one passing at `tol` on the (k, u) sample.  An empty sample raises
-    InsufficientData.  Returns the adopted rows and the check records.
+    substituted side, are evaluated once per modulus on the whole u grid.
+    All 432 are scored at the first (k, u) point; one whose error there is
+    not below `tol` (NaN included) cannot pass on the sample, so only the
+    others and the printed entry are scored on the whole sample, where
+    ``_adopt`` takes the unique one passing at `tol`.  An empty sample
+    raises InsufficientData, a degenerate modulus DegenerateModulus.
+    Returns the adopted rows and the check records.
     """
-    ks = [complex(k) for k in _nonempty(k_values, "modulus sample")]
+    ks = _moduli(k_values)
     u_grid = _default_u_grid() if u_grid is None else u_grid
     us = np.array(_nonempty(u_grid, "u grid"), dtype=complex)
-    rhs, scale = _candidate_sides(ks, us)
+    rhs, scale = (a.reshape(len(_CANDIDATES), len(ks), len(us)) for a in _candidate_sides(ks, us))
+    # every row's substituted sides, shape (row, field, k, u)
+    new = np.array([[_substituted_side(name[0], adjudicated_shift(name), k, us) for k in ks]
+                    for name in PRINTED_ROWS]).transpose(0, 2, 1, 3)
+    keep = _entry_errors(new[:, :, None, :1, :1], rhs[:, :1, :1], scale[:, :1, :1]) < tol
+    np.put_along_axis(keep, _PRINTED_INDEX[..., None], True, axis=-1)
+    row, fld, cand = np.nonzero(keep)
+    scored = {}     # (row, field) -> {candidate: error on the whole sample}, candidates ascending
+    for i, j, c, e in zip(row.tolist(), fld.tolist(), cand.tolist(),
+                          _entry_errors(new[row, fld], rhs[cand], scale[cand]).tolist()):
+        scored.setdefault((i, j), {})[c] = e
     records = []
     adopted_rows = {}
-    for name, (_, printed_entries) in PRINTED_ROWS.items():
-        anh = name[0]
-        shift = adjudicated_shift(name)
+    for i, (name, (_, printed_entries)) in enumerate(PRINTED_ROWS.items()):
         row_repairs = []
         if name == "D1":
             # printed substitution duplicates D2's; Klein-coset uniqueness
@@ -396,12 +417,11 @@ def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
                 note="printed substitution identical to D2; repaired to the missing Klein coset",
             ))
             row_repairs.append("substitution: -i*kp*(u+K+iKp) -> -i*kp*(u+K)")
-        new = np.moveaxis(np.array([_substituted_side(anh, shift, k, us) for k in ks]), 1, 0)
-        errs = _entry_errors(new[:, None, None], rhs, scale).reshape(3, len(_CANDIDATES))
         entries = []
-        for fld, printed, row_errs in zip(("sn", "cn", "dn"), printed_entries, errs):
-            err = float(row_errs[_CANDIDATES.index(printed)])
-            hits = [(_CANDIDATES[i], float(row_errs[i])) for i in np.flatnonzero(row_errs < tol)]
+        for j, (fld, printed) in enumerate(zip(("sn", "cn", "dn"), printed_entries)):
+            errs = scored[i, j]
+            err = errs[int(_PRINTED_INDEX[i, j])]
+            hits = [(_CANDIDATES[c], e) for c, e in errs.items() if e < tol]
             entry, rec = _adopt("joint", name, fld, printed, err, hits,
                                 f"printed entry off by {err:.2e}",
                                 show=lambda e: str(GlyphEntry(*e)))
@@ -411,8 +431,8 @@ def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
                 row_repairs.append(f"{fld}: {rec.printed} -> {rec.adopted}")
         adopted_rows[name] = {
             "name": name,
-            "anh": anh,
-            "shift": shift,
+            "anh": name[0],
+            "shift": adjudicated_shift(name),
             "perm": list(PRINTED_SIGMAS[name]),
             "entries": [[list(scalar), glyph] for scalar, glyph in entries],
             "repairs": row_repairs,
@@ -420,22 +440,24 @@ def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
     return adopted_rows, records
 
 
-def derive_sigma_from_substitution(name: str, k: complex = 0.6 + 0j) -> tuple[int, ...]:
-    """Independent sigma derivation: classify the preimage of each new-frame
-    singular point against the old singular points modulo the period lattice."""
-    k = complex(k)
-    a, b, kappa = _printed_substitution(name[0], adjudicated_shift(name), k)
+def _derived_sigmas(k: complex) -> list[tuple[int, ...]]:
+    """Every row's sigma at the modulus k, in the order of ``PRINTED_ROWS``,
+    derived independently of the printed one: the preimage s / a - b of each
+    new-frame singular point s is classified against the old singular
+    points modulo the period lattice, all rows' in one lattice pass."""
     md = ModulusData.from_modulus(k)
-    old_points = singular_points(k)
-    perm = []
-    for s in singular_points(kappa):
-        u_star = s / a - b
-        dists = _lattice_remainder(u_star - np.array(old_points), 2 * md.K, 2j * md.Kp)
-        j = int(np.argmin(dists))
-        if dists[j] > 1e-8:
-            raise ValueError(f"{name}: preimage of {s} not a singular point")
-        perm.append(j)
-    return tuple(perm)
+    points, preimages = [], []     # per row: new-frame singular points and their preimages
+    for name in PRINTED_ROWS:
+        a, b, kappa = _printed_substitution(name[0], adjudicated_shift(name), k)
+        points.append(singular_points(kappa))
+        preimages.append([s / a - b for s in points[-1]])
+    diffs = np.array(preimages)[:, :, None] - np.array(singular_points(k))   # (row, new, old)
+    dists = _lattice_remainder(diffs.ravel(), 2 * md.K, 2j * md.Kp).reshape(diffs.shape)
+    off = dists.min(axis=-1) > 1e-8
+    if off.any():
+        i, j = np.argwhere(off)[0]
+        raise ValueError(f"{list(PRINTED_ROWS)[i]}: preimage of {points[i][j]} not a singular point")
+    return [tuple(perm) for perm in dists.argmin(axis=-1).tolist()]
 
 
 def adjudicated_shift(name: str) -> int:
@@ -444,17 +466,18 @@ def adjudicated_shift(name: str) -> int:
 
 def adjudicate_sigmas(k_values=DEFAULT_K_VALUES):
     """Cross-check every printed sigma against the substitution-derived one
-    at each modulus; an empty `k_values` raises InsufficientData."""
-    _nonempty(k_values, "modulus sample")
+    at each modulus; an empty `k_values` raises InsufficientData, a
+    degenerate modulus DegenerateModulus."""
+    derived = [_derived_sigmas(k) for k in _moduli(k_values)]
     records = []
-    for name in PRINTED_ROWS:
-        derived = {derive_sigma_from_substitution(name, k) for k in k_values}
+    for name, *perms in zip(PRINTED_ROWS, *derived):
+        perms = set(perms)
         printed = PRINTED_SIGMAS[name]
-        ok = derived == {printed}
+        ok = perms == {printed}
         records.append(CheckRecord(
             table="sigma", row=name, fld="perm",
             status="ok" if ok else "failed", max_error=0.0 if ok else math.inf,
-            printed=str(printed), adopted=str(sorted(derived)[0]),
+            printed=str(printed), adopted=str(sorted(perms)[0]),
         ))
     return records
 
@@ -469,8 +492,7 @@ def adjudicate_quarter_periods(k_values=DEFAULT_K_VALUES, tol=1e-10):
     adopted = {}
     cand_coeffs = (0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j)
     cand_pairs = [(c1, c2) for c1 in cand_coeffs for c2 in cand_coeffs if (c1, c2) != (0, 0)]
-    moduli = [(k, cmath.sqrt(1 - k * k), complete_elliptic(k))
-              for k in map(complex, _nonempty(k_values, "modulus sample"))]
+    moduli = [(k, cmath.sqrt(1 - k * k), complete_elliptic(k)) for k in _moduli(k_values)]
     for X in ANH_TAGS:
         qscale, pK, pKp = PRINTED_QUARTER[X]
         adopted[X] = {"quarter_scale": list(qscale)}
@@ -548,7 +570,7 @@ def adjudicate_accessory_maps(k_values=DEFAULT_K_VALUES, tol=1e-10):
     h = 0.77
     S = sum(g * (g + 1) for g in params)
     us = np.array([0.31 + 0.12j, 0.77 - 0.2j, 1.1 + 0.33j])
-    ks = [complex(k) for k in _nonempty(k_values, "modulus sample")]
+    ks = _moduli(k_values)
     lhs = [h - darboux_potential(us, ParamTuple(*params, h=0, k=k)) for k in ks]
     ti, tk, tkp = np.array(_GAMMAS[1:]).T       # h + gamma S per modulus, gamma = 0 first
     shifted = [h + S * np.append(0, 1j**ti * k**tk * cmath.sqrt(1 - k * k) ** tkp) for k in ks]
@@ -688,13 +710,13 @@ def lvariant_adjudicator(
     """
     if tuples is None:
         tuples = [(0, 0, 0, 3), (0, 0, -1, 2), (0, -1, -1, 1), (0, -1, 0, 2)]
-    _nonempty(k_values, "modulus sample")
+    ks = _moduli(k_values)
     evidence = []
     passing = {"paper": True, "corrected": True}
     informative = False
     for exps in _nonempty(tuples, "tuple sample"):
-        for k in k_values:
-            base = ParamTuple(*exps, h=0.0, k=complex(k))
+        for k in ks:
+            base = ParamTuple(*exps, h=0.0, k=k)
             q = termination_check(base)
             if q is None:
                 raise ValueError(f"tuple {exps} does not terminate")
@@ -703,11 +725,11 @@ def lvariant_adjudicator(
             grid = np.linspace(0.25, 0.8, 7) * complete_elliptic(k)[0].real
             for variant in ("corrected", "paper"):
                 eig = polynomial_eigenvalues(base, q, variant)[0]
-                p = ParamTuple(*exps, h=eig, k=complex(k))
+                p = ParamTuple(*exps, h=eig, k=k)
                 coeffs = dl_coefficients(p, max(8, 2 * q + 4), variant=variant, mode="forward")
                 rep = ode_residual(lambda u: dl_eval(p, u, variant=variant, coeffs=coeffs), p, grid)
                 evidence.append(VariantEvidence(
-                    exponents=exps, k=complex(k), variant=variant,
+                    exponents=exps, k=k, variant=variant,
                     eigenvalue=complex(eig), residual=rep.max_relative_residual,
                 ))
                 if rep.max_relative_residual > accept:

@@ -17,6 +17,7 @@ from darboux.catalog import (
     transformed_tuple,
 )
 from darboux.elliptic import complete_elliptic
+from darboux.errors import DegenerateModulus
 from darboux.series import ParamTuple, polynomial_eigenvalues
 from darboux.symmetry import gii_by_name
 from darboux.verify import ode_residual
@@ -180,6 +181,17 @@ class TestInstantiation:
 
 
 class TestSamplePoints:
+    @pytest.mark.parametrize("k", [0, 1, -1])
+    def test_degenerate_modulus_is_typed(self, k):
+        # every row, A-E among them, whose kappa_X divides by k or k'
+        p = ParamTuple(0, 0, 0, 3, h=1.0, k=k)
+        for name in "I0 A1 B2 C0 D3 E1".split():
+            sid = SolutionId(1, 1, 1, gii_by_name(name))
+            with pytest.raises(DegenerateModulus):
+                instantiate(sid, p)
+            with pytest.raises(DegenerateModulus):
+                sample_points(sid, p)
+
     def test_points_inside_domain(self):
         p = nu3_equation()
         for name in ("I3", "C2", "E1"):

@@ -198,6 +198,13 @@ class TestTransform:
         assert r["sigma"] == "0213"
         assert complex(r["eta"]) == 0.4 and complex(r["mu"]) == 0.3
 
+    def test_degenerate_modulus_exit_2_one_error_line(self, capsys):
+        code = main(["transform", "--row", "A1", "--k", "1", "--nu", "1", "--h", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: k^2")
+
     def test_unknown_row_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transform", "--row", "Z9", "--k", "0.6"])

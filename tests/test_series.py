@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from darboux import series
 from darboux.elliptic import complete_elliptic, jacobi_sn_cn_dn
 from darboux.errors import (
+    CoefficientOverflow,
     DarbouxError,
     DegenerateRecursion,
     InsufficientData,
@@ -82,6 +83,15 @@ class TestTermination:
     def test_float_tolerance(self):
         assert termination_check(P(0, 0, 0, 3 + 1e-11)) == 0
         assert termination_check(P(0, 0, 0, 3 + 1e-6)) is None
+
+    @pytest.mark.parametrize("exps", [(10**400, 0, 0, 0), (0, 0, 0, -(10**400)), (10**400, 0.5, 0, 0)])
+    def test_int_beyond_the_float_range_is_refused(self, exps):
+        # a typed refusal, not the bare OverflowError of int / int or int + float
+        with pytest.raises(CoefficientOverflow):
+            termination_check(P(*exps, h=5.0))
+        for mode in ("auto", "forward", "minimal"):
+            with pytest.raises(CoefficientOverflow):
+                dl_coefficients(P(*exps, h=5.0), 10, mode=mode)
 
 
 class TestRecursionIdentity:

@@ -152,6 +152,15 @@ class TestVariableMaps:
         with pytest.raises(DegenerateModulus):
             apply_to_variable(gii_by_name("C0"), 0.5, 1.0)
 
+    @pytest.mark.parametrize("k", [0, 1, -1])
+    def test_degenerate_modulus_refused_before_kappa(self, k):
+        # kappa_X of rows A-E divides by k or k'; k itself is refused first
+        for row in gii_elements():
+            with pytest.raises(DegenerateModulus):
+                sigma_and_h(row, ParamTuple(0, 0, 0, 1, h=1.0, k=k))
+            with pytest.raises(DegenerateModulus):
+                apply_to_variable(row, 0.5, k)
+
 
 #: h_X(h, S, k^2) of each type in closed form, as the maps read before they
 #: were stored as the data gamma of h_X = (h + gamma S) / a^2

@@ -19,6 +19,7 @@ from darboux.elliptic import (
     singular_points,
 )
 from darboux.errors import (
+    DegenerateModulus,
     DegenerateWronskian,
     InconclusiveAdjudication,
     InsufficientData,
@@ -26,15 +27,19 @@ from darboux.errors import (
     UntrustedCalibration,
 )
 from darboux.series import ParamTuple, dl_coefficients, dl_eval
-from darboux.symmetry import scalar_value
+from darboux.symmetry import GlyphEntry, scalar_value
 from darboux.verify import (
     _CANDIDATES,
     PRINTED_ROWS,
+    PRINTED_SIGMAS,
+    CheckRecord,
     _adopt,
     _candidate_sides,
+    _default_u_grid,
     _entry_errors,
     _printed_substitution,
     _substituted_side,
+    adjudicated_shift,
     adjudicate_accessory_maps,
     adjudicate_joint_table,
     adjudicate_lambda_pairings,
@@ -243,6 +248,93 @@ class TestHarness:
         adopted, records = adjudicate_lambda_pairings()
         assert set(adopted) == set("IABCDE")
         assert all(r.status in ("ok", "repaired") for r in records)
+
+
+def _joint_records_scoring_every_candidate(k_values, u_grid, tol):
+    """Oracle: the joint table's 72 glyph records with all 432 candidates of
+    every field scored on the whole (k, u) sample."""
+    ks, us = [complex(k) for k in k_values], np.array(u_grid, dtype=complex)
+    rhs, scale = _candidate_sides(ks, us)
+    records = []
+    for name, (_, printed_entries) in PRINTED_ROWS.items():
+        new = np.moveaxis(np.array([_substituted_side(name[0], adjudicated_shift(name), k, us)
+                                    for k in ks]), 1, 0)
+        errs = _entry_errors(new[:, None, None], rhs, scale).reshape(3, len(_CANDIDATES))
+        for fld, printed, row_errs in zip(("sn", "cn", "dn"), printed_entries, errs):
+            err = float(row_errs[_CANDIDATES.index(printed)])
+            hits = [(_CANDIDATES[i], float(row_errs[i])) for i in np.flatnonzero(row_errs < tol)]
+            records.append(_adopt("joint", name, fld, printed, err, hits, f"printed entry off by {err:.2e}",
+                                  show=lambda e: str(GlyphEntry(*e)))[1])
+    return records
+
+
+def _sigma_one_row_at_a_time(name, k):
+    """Oracle: one row's sigma from four separate lattice classifications."""
+    k = complex(k)
+    a, b, kappa = _printed_substitution(name[0], adjudicated_shift(name), k)
+    md = ModulusData.from_modulus(k)
+    old_points = singular_points(k)
+    perm = []
+    for s in singular_points(kappa):
+        dists = _lattice_remainder(s / a - b - np.array(old_points), 2 * md.K, 2j * md.Kp)
+        j = int(np.argmin(dists))
+        assert dists[j] <= 1e-8
+        perm.append(j)
+    return tuple(perm)
+
+
+#: (k_values, u_grid) samples the two-stage scoring is checked on; None is the default grid
+SAMPLES = [((0.3, 0.6, 0.9), None), ((2**-0.5,), None), ((0.5 + 0.3j, 1.5, 0.6j), None),
+           ((0.6,), [0.41 + 0.1j, 0.9 - 0.2j, 1.2 + 0.25j])]
+
+
+class TestScoringOnlyWhatTheRecordsRead:
+    """The joint table scores on the whole sample only the candidates that pass
+    at its first point, and sigma classifies all rows in one lattice pass; the
+    records stay those of scoring everything, byte for byte."""
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-10, 1e-6])
+    @pytest.mark.parametrize("ks, us", SAMPLES)
+    def test_joint_records_match_scoring_every_candidate(self, ks, us, tol):
+        _, records = adjudicate_joint_table(ks, us, tol)
+        want = _joint_records_scoring_every_candidate(ks, _default_u_grid() if us is None else us, tol)
+        assert [r.as_json() for r in records if r.fld != "substitution"] == [r.as_json() for r in want]
+
+    @pytest.mark.parametrize("ks, us", SAMPLES)
+    def test_sigma_records_match_the_row_loop(self, ks, us):
+        want = []
+        for name in PRINTED_ROWS:
+            derived = {_sigma_one_row_at_a_time(name, k) for k in ks}
+            ok = derived == {PRINTED_SIGMAS[name]}
+            want.append(CheckRecord("sigma", name, "perm", "ok" if ok else "failed", 0.0 if ok else math.inf,
+                                    str(PRINTED_SIGMAS[name]), str(sorted(derived)[0])))
+        assert [r.as_json() for r in adjudicate_sigmas(ks)] == [r.as_json() for r in want]
+
+    @pytest.mark.parametrize("ks, most", [((0.3, 0.6, 0.9), 2), ((2**-0.5,), 4)])
+    def test_few_candidates_reach_the_whole_sample(self, ks, most, monkeypatch):
+        # a whole-sample call's lhs holds one field's side per candidate scored
+        whole = []
+
+        def spy(lhs, rhs, scale):
+            if lhs.shape[-2:] == (len(ks), len(_default_u_grid())):
+                whole.extend(side.tobytes() for side in lhs)
+            return _entry_errors(lhs, rhs, scale)
+
+        monkeypatch.setattr(verify, "_entry_errors", spy)
+        adjudicate_joint_table(ks)
+        per_field = {side: whole.count(side) for side in whole}
+        assert len(per_field) == 72 and max(per_field.values()) <= most
+
+
+class TestDegenerateModulus:
+    @pytest.mark.parametrize("ks", [(1.0,), (0,), (-1,), (0.6, 1.0)], ids=["1", "0", "-1", "0.6,1"])
+    @pytest.mark.parametrize("call", [
+        adjudicate_joint_table, adjudicate_quarter_periods, adjudicate_sigmas, adjudicate_accessory_maps,
+        identity_harness, regenerate_tables, lambda k_values: lvariant_adjudicator(k_values=k_values),
+    ], ids=["joint", "quarter", "sigma", "accessory", "harness", "regenerate", "lvariant"])
+    def test_refused_with_a_type(self, call, ks):
+        with pytest.raises(DegenerateModulus):
+            call(k_values=ks)
 
 
 class TestAdoptionRule:
