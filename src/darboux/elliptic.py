@@ -216,11 +216,16 @@ class ModulusData:
 
     @classmethod
     def from_modulus(cls, k: complex) -> "ModulusData":
-        return _modulus_data_cached(complex(k))
+        k = complex(k)
+        if k.real and k.imag:
+            return _modulus_data_cached(k)
+        # +0.0 and -0.0 compare and hash equal, but a zero part's sign can
+        # move tau by 2 or refuse the modulus: it joins the key
+        return _modulus_data_cached(k, math.copysign(1.0, k.real), math.copysign(1.0, k.imag))
 
 
 @lru_cache(maxsize=512)
-def _modulus_data_cached(k: complex) -> ModulusData:
+def _modulus_data_cached(k: complex, *zero_signs: float) -> ModulusData:
     K, Kp = complete_elliptic(k)
     kp = cmath.sqrt(1 - k * k)
     tau = 1j * Kp / K
@@ -331,25 +336,33 @@ def _glyph(code: str, sn, cn, dn):
     return vals[p] / vals[q]
 
 
+def _unbounded(u) -> NonConvergence:
+    """The refusal of a u whose theta argument pi u / (2K) is not finite."""
+    return NonConvergence(f"argument u = {u} is not finite") if not cmath.isfinite(u) else _beyond_lattice(u)
+
+
 def jacobi_sn_cn_dn(u, k: complex):
     """(sn, cn, dn)(u, k) via theta quotients; no pole guard applied.
 
     A scalar u gives three complex numbers.  A numpy array of u gives three
     complex arrays of its shape, from one batched theta sum.  A non-finite
-    u raises NonConvergence.
+    u, or one so large that pi u / (2K) is not finite, raises
+    NonConvergence naming it (an array's first).
     """
     md = ModulusData.from_modulus(complex(k))
     if isinstance(u, np.ndarray) and u.ndim:
         w = u.astype(complex).ravel()
-        bad = ~np.isfinite(w)
-        if bad.any():
-            raise NonConvergence(f"argument u = {w[bad.argmax()]} is not finite")
-        t1, t2, t3, t4 = (t.reshape(u.shape) for t in _theta_array(cmath.pi * w / (2 * md.K), md.q))
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = cmath.pi * w / (2 * md.K)
+        if not np.isfinite(z).all():
+            raise _unbounded(w[np.argmin(np.isfinite(z))])
+        t1, t2, t3, t4 = (t.reshape(u.shape) for t in _theta_array(z, md.q))
     else:
         w = complex(u)
-        if not cmath.isfinite(w):
-            raise NonConvergence(f"argument u = {w} is not finite")
-        t1, t2, t3, t4 = _theta_all(cmath.pi * w / (2 * md.K), md.q)
+        z = cmath.pi * w / (2 * md.K)
+        if not cmath.isfinite(z):
+            raise _unbounded(w)
+        t1, t2, t3, t4 = _theta_all(z, md.q)
     z1, z2, z3, z4 = md.theta_zero
     sn = (z3 / z2) * (t1 / t4)
     cn = (z4 / z2) * (t2 / t4)

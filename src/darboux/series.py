@@ -690,15 +690,22 @@ def dl_eval(
     """
     if coeffs is None:
         coeffs = dl_coefficients(p, N, variant=variant, mode=mode)
-    scalar = not (isinstance(u, np.ndarray) and u.ndim)
-    sn, cn, dn = (np.asarray(x, complex).ravel() for x in jacobi_sn_cn_dn(u, p.k))
+    return _dl_from_jacobi(p, coeffs, *jacobi_sn_cn_dn(u, p.k), detail=detail)
+
+
+def _dl_from_jacobi(p: ParamTuple, coeffs: SeriesCoefficients, sn, cn, dn, detail: bool = False):
+    """``dl_eval`` from (sn, cn, dn) at the points u: scalars for a scalar u,
+    arrays of u's shape for an array (``jacobi_sn_cn_dn`` gives both), with
+    the same value, tail bound and refusals."""
+    shape = sn.shape if isinstance(sn, np.ndarray) else None
+    sn, cn, dn = (np.asarray(x, complex).ravel() for x in (sn, cn, dn))
     s2 = sn * sn
     asn = np.abs(sn)
     outside = asn >= coeffs.radius
     if outside.any():
         i = int(np.argmax(outside))
         raise OutsideConvergence(
-            f"|sn u| = {asn[i]:.6f} outside certified radius", index=None if scalar else i
+            f"|sn u| = {asn[i]:.6f} outside certified radius", index=None if shape is None else i
         )
     xi, eta, mu, nu = p.exponents
     pref = np.ones(sn.shape, complex)
@@ -717,10 +724,10 @@ def dl_eval(
     rho = np.abs(s2) / coeffs.radius**2      # 0 for a terminated series
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.where(rho < 1, last * rho / (1 - rho) * np.abs(pref), math.inf)
-    if scalar:
+    if shape is None:
         value, tail = complex(value[0]), float(tail[0])
     else:
-        value, tail = value.reshape(u.shape), tail.reshape(u.shape)
+        value, tail = value.reshape(shape), tail.reshape(shape)
     return DlValue(value=value, tail_bound=tail) if detail else value
 
 
@@ -729,9 +736,14 @@ def darboux_potential(u, p: ParamTuple):
 
     Elementwise for a numpy array of u.  PoleProximity where sn, cn or dn
     vanishes: there u is one of the equation's singular points."""
+    return _potential_from_jacobi(p, *jacobi_sn_cn_dn(u, p.k))
+
+
+def _potential_from_jacobi(p: ParamTuple, sn, cn, dn):
+    """``darboux_potential`` from (sn, cn, dn) at the points u, scalars or
+    arrays, elementwise; PoleProximity where one of them vanishes."""
     xi, eta, mu, nu = p.exponents
     k2 = p.k * p.k
-    sn, cn, dn = jacobi_sn_cn_dn(u, p.k)
     _refuse_zero("the potential", sn, cn, dn)
     return (
         xi * (xi + 1) / (sn * sn)

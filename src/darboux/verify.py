@@ -41,9 +41,10 @@ from .errors import (
 )
 from .series import (
     ParamTuple,
+    _dl_from_jacobi,
+    _potential_from_jacobi,
     darboux_potential,
     dl_coefficients,
-    dl_eval,
     polynomial_eigenvalues,
     termination_check,
 )
@@ -195,17 +196,24 @@ DEFAULT_FD_STEP = 4e-3
 #: Stencil offsets in units of the step: the 5-point stencils at step/2 and
 #: at step share the centre and +-step.
 _FD_OFFSETS = (2.0, 1.0, 0.5, 0.0, -0.5, -1.0, -2.0)
+_CENTRE = _FD_OFFSETS.index(0.0)
 
 
-def _richardson(vals, step: float) -> complex:
-    """5-point central second derivative with one Richardson level, from the
-    values at ``_FD_OFFSETS`` (first axis)."""
+def _stencil(us: np.ndarray, step: float) -> np.ndarray:
+    """The points at ``_FD_OFFSETS`` around every point of `us`, shape (offset, point)."""
+    return us + step * np.array(_FD_OFFSETS)[:, None]
+
+
+def _richardson(vals, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f'', f) at the centre points, from f's values on their stencil
+    (first axis): a 5-point central second derivative with one Richardson
+    level."""
     f2, f1, fh, f0, fmh, fm1, fm2 = vals
 
     def stencil(a2, a1, b1, b2, s):
         return (-a2 + 16 * a1 - 30 * f0 + 16 * b1 - b2) / (12 * s * s)
 
-    return (16 * stencil(f1, fh, fmh, fm1, step / 2) - stencil(f2, f1, fm1, fm2, step)) / 15
+    return (16 * stencil(f1, fh, fmh, fm1, step / 2) - stencil(f2, f1, fm1, fm2, step)) / 15, f0
 
 
 def _first_derivative(vals, step: float):
@@ -217,19 +225,13 @@ def _first_derivative(vals, step: float):
     return (16 * half - full) / 15
 
 
-def _second_derivatives(f, us: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(f'', f) at every point of `us` from one call of the elementwise f."""
-    vals = f(us + step * np.array(_FD_OFFSETS)[:, None])
-    return _richardson(vals, step), vals[_FD_OFFSETS.index(0.0)]
-
-
 @lru_cache(maxsize=64)
 def _calibration(grid_size: int, step: float) -> float:
     """The stencil's residual on y = sin against y'' + y = 0 over
     max(grid_size, 5) points of [0.4, 1.9]: a constant of (grid size, step),
     computed once per pair."""
     x = np.linspace(0.4, 1.9, max(grid_size, 5))
-    d2, y = _second_derivatives(np.sin, x, step)
+    d2, y = _richardson(np.sin(_stencil(x, step)), step)
     return float(np.max(np.abs(d2 + y) / (np.abs(d2) + np.abs(y) + 1e-300)))
 
 
@@ -250,19 +252,35 @@ def ode_residual(
     calibration raises unless `require_trusted` is off.  An empty grid
     raises InsufficientData.
     """
-    md = ModulusData.from_modulus(p.k)
+    pts = _guarded_grid(grid, p.k, guard)
+    return _residual_report(f(_stencil(pts, step)), darboux_potential(pts, p), p.h, step, require_trusted)
+
+
+def _guarded_grid(grid, k: complex, guard: float) -> np.ndarray:
+    """The grid as a flat complex array: InsufficientData when it is empty,
+    PoleProximity naming the first point within `guard` of a singular point
+    of the modulus k or a lattice translate."""
+    md = ModulusData.from_modulus(k)
     pts = _nonempty(np.asarray(grid, dtype=complex).ravel(), "residual grid")
     # the four half-periods modulo (2K, 2iK') form the lattice (K, iK')
     near = _lattice_remainder(pts, md.K, 1j * md.Kp) < guard
     if near.any():
         raise PoleProximity(f"grid point {pts[near.argmax()]} within guard of singular point")
-    d2, y = _second_derivatives(f, pts, step)
-    rest = (p.h - darboux_potential(pts, p)) * y
+    return pts
+
+
+def _residual_report(vals, potential, h: complex, step: float, require_trusted: bool = True) -> ResidualReport:
+    """The report of y'' + (h - V) y = 0 from y's values on a grid's
+    stencil (shape (offset, point)) and V at the grid points;
+    UntrustedCalibration when the stencil's calibration is not trusted and
+    `require_trusted` is on."""
+    d2, y = _richardson(vals, step)
+    rest = (h - potential) * y
     worst = float(np.max(np.abs(d2 + rest) / (np.abs(d2) + np.abs(rest) + 1e-300)))
-    cal = _calibration(len(pts), step)
+    cal = _calibration(len(y), step)
     report = ResidualReport(
         max_relative_residual=worst,
-        grid_size=len(pts),
+        grid_size=len(y),
         step=step,
         calibration_residual=cal,
     )
@@ -281,10 +299,9 @@ def wronskian_constancy(f, g, grid, step: float = DEFAULT_FD_STEP) -> float:
     empty grid.
     """
     us = _nonempty(np.asarray(grid, dtype=complex).ravel(), "Wronskian grid")
-    stencil = us + step * np.array(_FD_OFFSETS)[:, None]
+    stencil = _stencil(us, step)
     fv, gv = f(stencil), g(stencil)
-    centre = _FD_OFFSETS.index(0.0)
-    ws = fv[centre] * _first_derivative(gv, step) - _first_derivative(fv, step) * gv[centre]
+    ws = fv[_CENTRE] * _first_derivative(gv, step) - _first_derivative(fv, step) * gv[_CENTRE]
     mean = ws.mean()
     scale = float(np.max(np.abs(ws)))
     if abs(mean) < 1e-10 * max(scale, 1e-30) or scale == 0:
@@ -353,11 +370,15 @@ def _adopt(table, row, fld, printed, err, hits, note, show=str):
                                 f"{len(hits)} candidates passed")
 
 
-def _substituted_side(anh, shift, k, us):
-    """(sn, cn, dn)(a (u + b), kappa) of a printed row's substitution at the
-    modulus k: one jacobi_sn_cn_dn call on the u array."""
-    a, b, kappa = _printed_substitution(anh, shift, k)
-    return np.array(jacobi_sn_cn_dn(a * (us + b), kappa))
+def _type_sides(anh, k, us):
+    """(sn, cn, dn)(a (u + b), kappa) of the anharmonic type's four rows
+    X0..X3 at the modulus k, shape (3, row, u), from one jacobi_sn_cn_dn
+    call on their concatenated points (the rows share a and kappa), with
+    (a, kappa)."""
+    a, _, kappa = _printed_substitution(anh, 0, k)
+    b = np.array(singular_points(k))[[adjudicated_shift(f"{anh}{i}") for i in range(4)]]
+    sides = np.array(jacobi_sn_cn_dn((a * (us + b[:, None])).ravel(), kappa))
+    return sides.reshape(3, 4, len(us)), a, kappa
 
 
 def _candidate_sides(ks, us):
@@ -380,8 +401,9 @@ def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
     """Check all 24 rows x 3 glyph identities; repair failing entries.
 
     The candidates of an entry are every i-power prefactor times k, k' to
-    the power -1, 0 or 1 times every glyph.  Their sides, and each row's
-    substituted side, are evaluated once per modulus on the whole u grid.
+    the power -1, 0 or 1 times every glyph.  Their sides are evaluated once
+    per modulus, and the rows' substituted sides once per (anharmonic type,
+    modulus), on the whole u grid.
     All 432 are scored at the first (k, u) point; one whose error there is
     not below `tol` (NaN included) cannot pass on the sample, so only the
     others and the printed entry are scored on the whole sample, where
@@ -393,9 +415,9 @@ def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
     u_grid = _default_u_grid() if u_grid is None else u_grid
     us = np.array(_nonempty(u_grid, "u grid"), dtype=complex)
     rhs, scale = (a.reshape(len(_CANDIDATES), len(ks), len(us)) for a in _candidate_sides(ks, us))
-    # every row's substituted sides, shape (row, field, k, u)
-    new = np.array([[_substituted_side(name[0], adjudicated_shift(name), k, us) for k in ks]
-                    for name in PRINTED_ROWS]).transpose(0, 2, 1, 3)
+    # every row's substituted sides, shape (row, field, k, u), rows type-major as in PRINTED_ROWS
+    new = np.array([[_type_sides(X, k, us)[0] for k in ks] for X in ANH_TAGS])
+    new = new.transpose(0, 3, 2, 1, 4).reshape(len(PRINTED_ROWS), 3, len(ks), len(us))
     keep = _entry_errors(new[:, :, None, :1, :1], rhs[:, :1, :1], scale[:, :1, :1]) < tol
     np.put_along_axis(keep, _PRINTED_INDEX[..., None], True, axis=-1)
     row, fld, cand = np.nonzero(keep)
@@ -440,11 +462,18 @@ def adjudicate_joint_table(k_values=DEFAULT_K_VALUES, u_grid=None, tol=1e-10):
     return adopted_rows, records
 
 
-def _derived_sigmas(k: complex) -> list[tuple[int, ...]]:
+#: Largest lattice distance at which a preimage counts as an old singular point
+_SIGMA_TOL = 1e-8
+
+
+def _derived_sigmas(k: complex) -> list[tuple[tuple[int, ...], float]]:
     """Every row's sigma at the modulus k, in the order of ``PRINTED_ROWS``,
     derived independently of the printed one: the preimage s / a - b of each
     new-frame singular point s is classified against the old singular
-    points modulo the period lattice, all rows' in one lattice pass."""
+    points modulo the period lattice, all rows' in one lattice pass.  Each
+    row comes with the distance of its farthest preimage from the old
+    singular points; above ``_SIGMA_TOL`` the row is not derived (near
+    k = 0, where kappa = 1/k' is within roundoff of 1)."""
     md = ModulusData.from_modulus(k)
     points, preimages = [], []     # per row: new-frame singular points and their preimages
     for name in PRINTED_ROWS:
@@ -453,11 +482,8 @@ def _derived_sigmas(k: complex) -> list[tuple[int, ...]]:
         preimages.append([s / a - b for s in points[-1]])
     diffs = np.array(preimages)[:, :, None] - np.array(singular_points(k))   # (row, new, old)
     dists = _lattice_remainder(diffs.ravel(), 2 * md.K, 2j * md.Kp).reshape(diffs.shape)
-    off = dists.min(axis=-1) > 1e-8
-    if off.any():
-        i, j = np.argwhere(off)[0]
-        raise ValueError(f"{list(PRINTED_ROWS)[i]}: preimage of {points[i][j]} not a singular point")
-    return [tuple(perm) for perm in dists.argmin(axis=-1).tolist()]
+    return [(tuple(perm), miss) for perm, miss in zip(dists.argmin(axis=-1).tolist(),
+                                                       dists.min(axis=-1).max(axis=-1).tolist())]
 
 
 def adjudicated_shift(name: str) -> int:
@@ -466,13 +492,24 @@ def adjudicated_shift(name: str) -> int:
 
 def adjudicate_sigmas(k_values=DEFAULT_K_VALUES):
     """Cross-check every printed sigma against the substitution-derived one
-    at each modulus; an empty `k_values` raises InsufficientData, a
-    degenerate modulus DegenerateModulus."""
-    derived = [_derived_sigmas(k) for k in _moduli(k_values)]
+    at each modulus.  A row whose preimages miss the old singular points at
+    some modulus fails, with the first such modulus and distance in its
+    note.  An empty `k_values` raises InsufficientData, a degenerate
+    modulus DegenerateModulus."""
+    ks = _moduli(k_values)
+    derived = [_derived_sigmas(k) for k in ks]
     records = []
-    for name, *perms in zip(PRINTED_ROWS, *derived):
-        perms = set(perms)
+    for name, *found in zip(PRINTED_ROWS, *derived):
         printed = PRINTED_SIGMAS[name]
+        missed = [(k, miss) for k, (_, miss) in zip(ks, found) if miss > _SIGMA_TOL]
+        if missed:
+            k, miss = missed[0]
+            records.append(CheckRecord(
+                "sigma", name, "perm", "failed", math.inf, str(printed), "",
+                f"at k = {k} a preimage is {miss:.2e} from the nearest singular point (> {_SIGMA_TOL:g})",
+            ))
+            continue
+        perms = {perm for perm, _ in found}
         ok = perms == {printed}
         records.append(CheckRecord(
             table="sigma", row=name, fld="perm",
@@ -564,7 +601,9 @@ def adjudicate_accessory_maps(k_values=DEFAULT_K_VALUES, tol=1e-10):
     gives h the coefficient 1).  Each gamma of ``_GAMMAS``, and a printed map
     outside the family as written (row D's), is scored by its worst error
     over the type's four rows, every modulus and fixed points u; ``_adopt``
-    takes the unique one passing at `tol`.  Empty `k_values`: InsufficientData.
+    takes the unique one passing at `tol`.  The substituted potentials read
+    one jacobi_sn_cn_dn call per (type, modulus).  Empty `k_values`:
+    InsufficientData.
     """
     params = (0.23, -0.41, 0.57, 1.13)
     h = 0.77
@@ -578,13 +617,13 @@ def adjudicate_accessory_maps(k_values=DEFAULT_K_VALUES, tol=1e-10):
     for X in ANH_TAGS:
         printed = PRINTED_GAMMA[X]
         outside = PRINTED_OFF_FAMILY.get(printed)     # scored after the family
+        sides = [_type_sides(X, k, us) for k in ks]
         terms = []      # (h - V(u), a^2, every candidate's h_X, V(w)) per row and modulus
-        for name in (f"{X}{i}" for i in range(4)):
-            newp = tuple(params[j] for j in PRINTED_SIGMAS[name])
-            for k, side, num in zip(ks, lhs, shifted):
-                a, b, kappa = _printed_substitution(X, adjudicated_shift(name), k)
+        for i in range(4):
+            newp = tuple(params[j] for j in PRINTED_SIGMAS[f"{X}{i}"])
+            for k, side, num, (jac, a, kappa) in zip(ks, lhs, shifted, sides):
                 hX = np.append(num / (a * a), [outside(h, S, k)] if outside else [])
-                pot = darboux_potential(a * (us + b), ParamTuple(*newp, h=0, k=kappa))
+                pot = _potential_from_jacobi(ParamTuple(*newp, h=0, k=kappa), *jac[:, i])
                 terms.append((side, a * a, hX, pot))
         side, a2, hX, pot = map(np.array, zip(*terms))
         rhs = a2[:, None, None] * (hX[:, :, None] - pot[:, None])
@@ -700,7 +739,9 @@ def lvariant_adjudicator(
 
     For each terminating tuple and each variant, build the Darboux
     polynomial at the variant's own eigenvalue and measure the ODE residual
-    of the resulting function against the original equation.  The variant
+    of the resulting function against the original equation, as
+    ``ode_residual`` does; the grid, its pole guard, its stencil and sn, cn,
+    dn on the stencil are computed once per modulus.  The variant
     whose residuals pass `accept` uniformly wins; InconclusiveAdjudication
     if neither passes, or if both pass on a tuple where the disputed
     (xi+1)^2 term does not vanish.  An empty `tuples` or `k_values` raises
@@ -711,23 +752,31 @@ def lvariant_adjudicator(
     if tuples is None:
         tuples = [(0, 0, 0, 3), (0, 0, -1, 2), (0, -1, -1, 1), (0, -1, 0, 2)]
     ks = _moduli(k_values)
+    step = DEFAULT_FD_STEP
+    frames = []     # per modulus, on first use: (sn, cn, dn) on the grid's stencil and at its centre
     evidence = []
     passing = {"paper": True, "corrected": True}
     informative = False
     for exps in _nonempty(tuples, "tuple sample"):
-        for k in ks:
+        q = termination_check(ParamTuple(*exps, h=0.0, k=ks[0]))     # reads the exponents only
+        if q is None:
+            raise ValueError(f"tuple {exps} does not terminate")
+        if abs(exps[0] + 1) > 1e-12:
+            informative = True
+        for j, k in enumerate(ks):
+            if j == len(frames):
+                pts = _guarded_grid(np.linspace(0.25, 0.8, 7) * complete_elliptic(k)[0].real, k, 0.05)
+                stencil = _stencil(pts, step)
+                jac = [x.reshape(stencil.shape) for x in jacobi_sn_cn_dn(stencil.ravel(), k)]
+                frames.append((jac, [x[_CENTRE] for x in jac]))
+            jac, centre = frames[j]
             base = ParamTuple(*exps, h=0.0, k=k)
-            q = termination_check(base)
-            if q is None:
-                raise ValueError(f"tuple {exps} does not terminate")
-            if abs(exps[0] + 1) > 1e-12:
-                informative = True
-            grid = np.linspace(0.25, 0.8, 7) * complete_elliptic(k)[0].real
             for variant in ("corrected", "paper"):
                 eig = polynomial_eigenvalues(base, q, variant)[0]
                 p = ParamTuple(*exps, h=eig, k=k)
                 coeffs = dl_coefficients(p, max(8, 2 * q + 4), variant=variant, mode="forward")
-                rep = ode_residual(lambda u: dl_eval(p, u, variant=variant, coeffs=coeffs), p, grid)
+                rep = _residual_report(_dl_from_jacobi(p, coeffs, *jac), _potential_from_jacobi(p, *centre),
+                                       p.h, step)
                 evidence.append(VariantEvidence(
                     exponents=exps, k=k, variant=variant,
                     eigenvalue=complex(eig), residual=rep.max_relative_residual,

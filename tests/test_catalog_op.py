@@ -29,7 +29,7 @@ from darboux.elliptic import ModulusData, _lattice_remainder, jacobi_sn_cn_dn, s
 from darboux.errors import NonConvergence, PoleProximity
 from darboux.series import _POWER_BLOCK, SeriesCoefficients, _power_sum, dl_coefficients
 from darboux.symmetry import ParamTuple
-from darboux.verify import _second_derivatives, ode_residual
+from darboux.verify import _richardson, _stencil, ode_residual
 
 
 def same_bits(a, b) -> bool:
@@ -242,7 +242,7 @@ def test_calibration_is_the_fresh_stencil_run():
     p = ParamTuple(0, 0, 0, 0, h=1.0, k=0.6)
     for n, step in ((3, 4e-3), (9, 3e-3), (35, 2e-3), (35, 1e-2)):
         x = np.linspace(0.4, 1.9, max(n, 5))
-        d2, y = _second_derivatives(np.sin, x, step)
+        d2, y = _richardson(np.sin(_stencil(x, step)), step)
         fresh = float(np.max(np.abs(d2 + y) / (np.abs(d2) + np.abs(y) + 1e-300)))
         for _ in range(2):   # computed, then recalled
             assert verify._calibration(n, step) == fresh

@@ -2,7 +2,11 @@
 
 import cmath
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -334,6 +338,16 @@ class TestJacobi:
             with pytest.raises(DarbouxError, match="lattice coordinates are not finite"):
                 call()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("u, named", [(1e308, 1e308), (1e308j, 1e308j), (-1.7e308 + 1e308j, -1.7e308 + 1e308j),
+                                          (np.array([0.3, 1e308]), 1e308),
+                                          (np.array([[0.3], [1e308j], [math.inf]]), 1e308j)])
+    def test_huge_finite_argument_refused_by_sn_cn_dn(self, u, named):
+        # pi u / (2K) is not finite: the refusal of jacobi, naming the first such u
+        with pytest.raises(NonConvergence) as info:
+            jacobi_sn_cn_dn(u, 0.6)
+        assert str(info.value) == f"argument u = {complex(named)} is too large: its lattice coordinates are not finite"
+
 
 class TestNomeTau:
     def test_lemniscatic_tau(self):
@@ -402,7 +416,38 @@ class TestLambda:
             assert abs(lam) > 1e-6 and abs(lam - 1) > 1e-6
 
 
+#: Prints, for each modulus on the command line in turn, its tau, q and
+#: sn/cn/dn at one point, or the refusal's type.
+_MODULUS_SCRIPT = """
+import sys
+from darboux.elliptic import ModulusData, jacobi_sn_cn_dn
+from darboux.errors import DarbouxError
+for arg in sys.argv[1:]:
+    k = complex(arg)
+    try:
+        md = ModulusData.from_modulus(k)
+        print(repr((md.k, md.tau, md.q, jacobi_sn_cn_dn(0.3 + 0.2j, k))))
+    except DarbouxError as exc:
+        print(type(exc).__name__)
+"""
+
+
+def _in_a_fresh_process(*moduli: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(elliptic.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _MODULUS_SCRIPT, *moduli], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.splitlines()
+
+
 class TestModulusData:
+    def test_signed_zero_parts_keep_their_own_entry(self):
+        # -0.5 +- 0j have tau = +-2 + 1.279j; -2 - 0j is refused, -2 + 0j is not
+        moduli = ["-0.5+0j", "-0.5-0j", "-2+0j", "-2-0j"]
+        fresh = [line for k in moduli for line in _in_a_fresh_process(k)]
+        assert fresh[0] != fresh[1] and fresh[2] != "NomeOutOfDisc" and fresh[3] == "NomeOutOfDisc"
+        assert _in_a_fresh_process(*moduli) == fresh
+        assert _in_a_fresh_process(*moduli[::-1]) == fresh[::-1]
+
     def test_invariants(self):
         for k in (0.3, 0.77 + 0.2j, 1 / 0.6):
             md = ModulusData.from_modulus(k)

@@ -252,6 +252,56 @@ class TestPotential:
             darboux_potential(u, P(0.1, 0.2, 0.3, 1.5, h=5.0))
 
 
+def _outcome(call):
+    """A call's result as (type, shape, bytes) per value, or its refusal as
+    (type, message, index)."""
+    try:
+        result = call()
+    except (OutsideConvergence, PoleProximity) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    values = (result.value, result.tail_bound) if isinstance(result, series.DlValue) else (result,)
+    return [(type(v), np.shape(v), np.asarray(v).tobytes()) for v in values]
+
+
+class TestKernelsFromJacobi:
+    """dl_eval and darboux_potential are jacobi_sn_cn_dn plus a kernel that
+    takes (sn, cn, dn); each kernel gives their bits and their refusals."""
+
+    K_ = complete_elliptic(K)[0].real
+    POINTS = [0.35, 0.6 + 0.2j, 0.0, np.array([0.35, 0.52 - 0.1j]),
+              np.array([[0.3, 0.4], [0.5 + 0.1j, 0.2j]]), np.array([0.3, 0.0, 0.4])]
+    #: a generic tuple, a terminating one, a negative exponent on sn (a pole
+    #: at u = 0), each with its coefficients
+    TUPLES = [P(0.23, -0.41, 0.57, 1.13, h=0.9), P(0, 0, 0, 3, h=4 * (1 + K * K)), P(-1.3, 0.2, 0.1, 0.7, h=0.4)]
+
+    @pytest.mark.parametrize("u", POINTS + [K_ + 0.4j, np.array([0.3, K_ + 0.4j, K_ + 0.5j])])
+    @pytest.mark.parametrize("p", TUPLES)
+    def test_series_kernel_is_dl_eval(self, p, u):
+        coeffs = dl_coefficients(p, 200)
+        for detail in (False, True):
+            want = _outcome(lambda: dl_eval(p, u, coeffs=coeffs, detail=detail))
+            got = _outcome(lambda: series._dl_from_jacobi(p, coeffs, *jacobi_sn_cn_dn(u, K), detail=detail))
+            assert got == want
+
+    def test_series_kernel_refusals(self):
+        p, bad = self.TUPLES[0], np.array([0.3, self.K_ + 0.4j, self.K_ + 0.5j])
+        coeffs = dl_coefficients(p, 200)
+        assert _outcome(lambda: series._dl_from_jacobi(p, coeffs, *jacobi_sn_cn_dn(bad, K)))[::2] == (
+            OutsideConvergence, 1)
+        assert _outcome(lambda: series._dl_from_jacobi(p, coeffs, *jacobi_sn_cn_dn(bad[1], K)))[::2] == (
+            OutsideConvergence, None)
+        p = self.TUPLES[2]
+        assert _outcome(lambda: series._dl_from_jacobi(p, dl_coefficients(p, 200), *jacobi_sn_cn_dn(0.0, K)))[0] \
+            is PoleProximity
+
+    @pytest.mark.parametrize("u", POINTS)
+    @pytest.mark.parametrize("p", TUPLES)
+    def test_potential_kernel_is_darboux_potential(self, p, u):
+        want = _outcome(lambda: darboux_potential(u, p))
+        assert _outcome(lambda: series._potential_from_jacobi(p, *jacobi_sn_cn_dn(u, K))) == want
+        assert (want[0] is PoleProximity) == (not np.all(u))     # sn vanishes at u = 0
+
+
 class TestContinuedFraction:
     def test_vanishes_at_terminating_eigenvalue(self):
         p = P(0, 0, 0, 3)

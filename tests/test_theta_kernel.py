@@ -262,7 +262,7 @@ def test_far_off_point_refused_in_constant_time():
 @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(math.inf, 0), complex(0.3, -math.inf),
                                  complex(math.nan, 1.0)])
 def test_nonfinite_argument_refused(bad):
-    # refused by name before v = pi u / (2K), for a scalar and an array alike
+    # refused by name once v = pi u / (2K) is not finite, for a scalar and an array alike
     for u in (bad, np.array([0.3, bad]), np.array([[bad]])):
         with pytest.raises(NonConvergence, match=r"^argument u = .* is not finite$"):
             jacobi_sn_cn_dn(u, 0.6)

@@ -4,11 +4,12 @@ import cmath
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from darboux import symmetry, verify
+from darboux import series, symmetry, verify
 from darboux.cli import EXIT_OK, EXIT_VERIFY, main
 from darboux.elliptic import (
     ModulusData,
@@ -26,19 +27,27 @@ from darboux.errors import (
     PoleProximity,
     UntrustedCalibration,
 )
-from darboux.series import ParamTuple, dl_coefficients, dl_eval
+from darboux.series import (
+    ParamTuple,
+    darboux_potential,
+    dl_coefficients,
+    dl_eval,
+    polynomial_eigenvalues,
+    termination_check,
+)
 from darboux.symmetry import GlyphEntry, scalar_value
 from darboux.verify import (
     _CANDIDATES,
     PRINTED_ROWS,
     PRINTED_SIGMAS,
     CheckRecord,
+    VariantEvidence,
     _adopt,
     _candidate_sides,
     _default_u_grid,
     _entry_errors,
     _printed_substitution,
-    _substituted_side,
+    _type_sides,
     adjudicated_shift,
     adjudicate_accessory_maps,
     adjudicate_joint_table,
@@ -59,6 +68,13 @@ DOCS_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "adjudication"
 
 def _jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line]
+
+
+def _substituted_side(anh, shift, k, us):
+    """Oracle: (sn, cn, dn)(a (u + b), kappa) of one row's substitution at the
+    modulus k, from its own jacobi_sn_cn_dn call."""
+    a, b, kappa = _printed_substitution(anh, shift, k)
+    return np.array(jacobi_sn_cn_dn(a * (us + b), kappa))
 
 
 class TestResidual:
@@ -176,10 +192,11 @@ class TestHarness:
         assert len(report.records) == 127
 
     def test_each_side_evaluated_once_per_modulus(self):
-        # per modulus: one old side and 24 substituted sides, one original
-        # potential and 24 substituted ones, and each glyph quotient once;
-        # the scalar theta loop and the AGM run only for the lambda/e-value
-        # checks and the quarter periods
+        # per modulus: one old side and one original potential; per
+        # (anharmonic type, modulus): one theta sum for the four rows'
+        # substituted sides and one for their potentials; each glyph
+        # quotient once; the scalar theta loop and the AGM run only for the
+        # lambda/e-value checks and the quarter periods
         import cProfile
         import pstats
 
@@ -188,8 +205,8 @@ class TestHarness:
         prof.runcall(identity_harness)
         calls = {name: n for (_, _, name), (_, n, *_) in pstats.Stats(prof).stats.items()}
         assert calls["_theta_all"] <= 100 and calls["_agm"] <= 100
-        assert calls["jacobi_sn_cn_dn"] <= 150
-        assert calls["darboux_potential"] <= 75
+        assert calls["jacobi_sn_cn_dn"] == 42
+        assert calls["darboux_potential"] == 3
         assert calls["_glyph"] <= 12
 
     def test_grid_on_a_pole_is_typed(self):
@@ -219,7 +236,7 @@ class TestHarness:
     def test_glyph_path_at_zero_of_sn(self):
         # row I0's cn entry at u = 0, a zero of sn that the cn glyph does not divide by
         us = np.array([0j])
-        new, old = _substituted_side("I", 0, 0.6, us), jacobi_sn_cn_dn(us, 0.6)
+        new, old = _type_sides("I", 0.6, us)[0][:, 0], jacobi_sn_cn_dn(us, 0.6)
         assert np.abs(new[1] - _glyph("cn", *old)).max() == 0
 
     def test_entry_errors_match_per_point_loop(self):
@@ -324,6 +341,133 @@ class TestScoringOnlyWhatTheRecordsRead:
         adjudicate_joint_table(ks)
         per_field = {side: whole.count(side) for side in whole}
         assert len(per_field) == 72 and max(per_field.values()) <= most
+
+
+def _accessory_records_row_by_row(k_values, tol):
+    """Oracle: the accessory-map records with every row's substituted
+    potential from its own darboux_potential call, per row and modulus."""
+    params = (0.23, -0.41, 0.57, 1.13)
+    h = 0.77
+    S = sum(g * (g + 1) for g in params)
+    us = np.array([0.31 + 0.12j, 0.77 - 0.2j, 1.1 + 0.33j])
+    ks = [complex(k) for k in k_values]
+    gammas = verify._GAMMAS
+    lhs = [h - darboux_potential(us, ParamTuple(*params, h=0, k=k)) for k in ks]
+    ti, tk, tkp = np.array(gammas[1:]).T
+    shifted = [h + S * np.append(0, 1j**ti * k**tk * cmath.sqrt(1 - k * k) ** tkp) for k in ks]
+    records = []
+    for X in symmetry.ANH_TAGS:
+        printed = verify.PRINTED_GAMMA[X]
+        outside = verify.PRINTED_OFF_FAMILY.get(printed)
+        terms = []
+        for name in (f"{X}{i}" for i in range(4)):
+            newp = tuple(params[j] for j in PRINTED_SIGMAS[name])
+            for k, side, num in zip(ks, lhs, shifted):
+                a, b, kappa = _printed_substitution(X, adjudicated_shift(name), k)
+                hX = np.append(num / (a * a), [outside(h, S, k)] if outside else [])
+                pot = darboux_potential(a * (us + b), ParamTuple(*newp, h=0, k=kappa))
+                terms.append((side, a * a, hX, pot))
+        side, a2, hX, pot = map(np.array, zip(*terms))
+        rhs = a2[:, None, None] * (hX[:, :, None] - pot[:, None])
+        errs = np.max(np.abs(side[:, None] - rhs) / np.maximum(1.0, np.abs(side[:, None])), axis=(0, 2))
+        err = float(errs[-1] if outside else errs[gammas.index(printed)])
+        hits = [(gammas[j], float(errs[j])) for j in np.flatnonzero(errs[:len(gammas)] < tol)]
+        records.append(_adopt("accessory", X, "gamma", printed, err, hits,
+                              "the covariance identity fixes h_X = (h + gamma*S)/a^2",
+                              show=lambda g: g if isinstance(g, str) else symmetry.scalar_repr(g) if g else "0")[1])
+    return records
+
+
+def _variant_evidence_one_residual_call_each(k_values):
+    """Oracle: the variant adjudicator's evidence from one ode_residual call
+    per (tuple, modulus, variant), on the series callable."""
+    evidence = []
+    for exps in [(0, 0, 0, 3), (0, 0, -1, 2), (0, -1, -1, 1), (0, -1, 0, 2)]:
+        for k in map(complex, k_values):
+            base = ParamTuple(*exps, h=0.0, k=k)
+            q = termination_check(base)
+            grid = np.linspace(0.25, 0.8, 7) * complete_elliptic(k)[0].real
+            for variant in ("corrected", "paper"):
+                eig = polynomial_eigenvalues(base, q, variant)[0]
+                p = ParamTuple(*exps, h=eig, k=k)
+                coeffs = dl_coefficients(p, max(8, 2 * q + 4), variant=variant, mode="forward")
+                rep = ode_residual(lambda u: dl_eval(p, u, coeffs=coeffs), p, grid)
+                evidence.append(VariantEvidence(exps, k, variant, complex(eig), rep.max_relative_residual))
+    return evidence
+
+
+#: the distinct modulus samples of SAMPLES, for the checks that take no u grid
+MODULUS_SAMPLES = [ks for ks, _ in SAMPLES[:3]]
+
+
+class TestOneThetaSumPerTypeAndModulus:
+    """The harness evaluates the four rows of an anharmonic type in one theta
+    sum per modulus, and the variant adjudicator its stencil in one per
+    modulus; every record and every piece of evidence keeps its bytes."""
+
+    def test_type_sides_are_the_row_loop(self):
+        # 24 rows x 3 sides x 8 points x 7 moduli: 4,032 values
+        us = np.array(_default_u_grid())
+        for k in (0.3, 0.6, 0.9, 2**-0.5, 0.5 + 0.3j, 1.5, 0.6j):
+            for X in symmetry.ANH_TAGS:
+                sides, a, kappa = _type_sides(X, complex(k), us)
+                rows = [_substituted_side(X, adjudicated_shift(f"{X}{i}"), complex(k), us) for i in range(4)]
+                assert (a, kappa) == _printed_substitution(X, 0, complex(k))[::2]
+                assert sides.dtype == complex and sides.tobytes() == np.stack(rows, axis=1).tobytes()
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-10, 1e-6])
+    @pytest.mark.parametrize("ks", MODULUS_SAMPLES)
+    def test_accessory_records_match_the_row_loop(self, ks, tol):
+        _, records = adjudicate_accessory_maps(ks, tol)
+        assert [r.as_json() for r in records] == [r.as_json() for r in _accessory_records_row_by_row(ks, tol)]
+
+    @pytest.mark.parametrize("ks", MODULUS_SAMPLES)
+    def test_variant_evidence_matches_one_residual_call_each(self, ks):
+        _, evidence = lvariant_adjudicator(k_values=ks)
+        want = _variant_evidence_one_residual_call_each(ks)
+        assert [e.as_json() for e in evidence] == [e.as_json() for e in want]
+
+    def test_theta_sums_per_run(self, monkeypatch):
+        sizes = []
+
+        def spy(u, k):
+            sizes.append(np.size(u))
+            return jacobi_sn_cn_dn(u, k)
+
+        for module in (verify, series):
+            monkeypatch.setattr(module, "jacobi_sn_cn_dn", spy)
+        identity_harness()
+        # per modulus: the candidates' sides and the original potential; per
+        # (type, modulus): the four rows' substituted sides and their potentials
+        assert len(sizes) == 3 * 2 + 6 * 3 * 2 == 42
+        sizes.clear()
+        lvariant_adjudicator()
+        assert sizes == [7 * 7] * 3     # one 7-point stencil on the 7-point grid per modulus
+
+
+class TestSigmaNearZeroModulus:
+    """Near k = 0, kappa = 1/k' is within roundoff of 1 and some rows'
+    preimages miss the old singular points: those rows fail, typed as data."""
+
+    @pytest.mark.parametrize("k, missed", [(1e-4, "D"), (1e-6, "BD")])
+    def test_missed_rows_fail_and_the_others_stand(self, k, missed):
+        records = adjudicate_sigmas((k,))
+        assert [r.row for r in records] == list(PRINTED_ROWS)
+        for r in records:
+            if r.row[0] in missed:
+                assert (r.status, r.max_error, r.printed, r.adopted) == (
+                    "failed", math.inf, str(PRINTED_SIGMAS[r.row]), "")
+                found = re.fullmatch(r"at k = (\S+) a preimage is (\S+) from the nearest singular point "
+                                     r"\(> 1e-08\)", r.note)
+                assert found and complex(found[1]) == k and float(found[2]) > 1e-8
+            else:
+                assert r.as_json() == CheckRecord("sigma", r.row, "perm", "ok", 0.0, str(PRINTED_SIGMAS[r.row]),
+                                                  str(_sigma_one_row_at_a_time(r.row, k))).as_json()
+
+    def test_harness_reports_instead_of_raising(self):
+        report = identity_harness(k_values=(1e-4,))
+        assert len(report.records) == 127
+        assert {r.row for r in report.failures if r.table == "sigma"} == {"D0", "D1", "D2", "D3"}
 
 
 class TestDegenerateModulus:
