@@ -1,8 +1,9 @@
 """The Weierstrass-side picture and the classical reductions.
 
 e-values as weight-2 lattice data, the curve family with its 2-torsion
-translations, the three-entry accessory table, and the Landen/duplication
-functional identities between local solutions.
+translations, the anharmonic maps and the accessory map h_W = (c tau + d)^2 h
+read from each type's stored matrix, and the Landen/duplication functional
+identities between local solutions.
 """
 
 import cmath

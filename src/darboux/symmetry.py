@@ -48,6 +48,14 @@ CROSS_RATIOS = {
 }
 
 
+def upper_image(matrix, tau: complex) -> complex:
+    """The image det*(a tau + b)/(c tau + d) of an upper-half-plane tau under
+    the GL2(Z) matrix ((a, b), (c, d)): a det of -1 sends (a tau + b)/(c tau + d)
+    to the lower half-plane, and its negative spans the same lattice."""
+    (a, b), (c, d) = matrix
+    return (a * d - b * c) * (a * tau + b) / (c * tau + d)
+
+
 def scalar_value(s: Scalar, k: complex, kp: complex) -> complex:
     a, b, c = s
     return (1j) ** (a % 4) * k**b * kp**c
@@ -125,8 +133,11 @@ class GlyphEntry:
 @dataclass(frozen=True)
 class AnhElement:
     """One anharmonic element: matrix representative, lambda action, weight-2
-    permutation, modulus map, substitution scale, quarter periods, gamma, h-map tag.
+    permutation, modulus map, substitution scale, quarter periods and gamma.
 
+    ``matrix`` ((a, b), (c, d)) is the GL2(Z) change of the torus's ordered
+    basis; every Weierstrass-form map reads it (``mobius``, and the factor
+    f = c tau + d of ``weierstrass.anh_on_E`` and ``accessory_weierstrass``).
     ``cross_ratio``, ``rho`` and ``gamma`` are adjudicated; a printed reading
     that differs is kept in ``repairs``.  A ``gamma`` string is a printed
     reading outside the token family that failed adjudication (tables
@@ -145,7 +156,6 @@ class AnhElement:
     quarter_Kp: tuple[complex, complex]
     quarter_scale: Scalar
     gamma: Scalar | str | None               # h_X = (h + gamma*S) / scale^2; None is 0
-    hW_tag: str                              # Weierstrass-form accessory map
     repairs: tuple[str, ...]
 
     def kappa_value(self, k: complex) -> complex:
@@ -153,8 +163,7 @@ class AnhElement:
         return scalar_value(self.kappa, k, kp)
 
     def mobius(self, tau: complex) -> complex:
-        (a, b), (c, d) = self.matrix
-        return (a * tau + b) / (c * tau + d)
+        return upper_image(self.matrix, tau)
 
 
 @dataclass(frozen=True)
@@ -231,7 +240,6 @@ def _read_tables(data_dir) -> tuple[dict[str, AnhElement], dict[str, TransformRo
             quarter_Kp=_parse_coeff(r["quarter_Kp"]),
             quarter_scale=_parse_scalar(r["quarter_scale"]),
             gamma=_parse_gamma(r["gamma"]),
-            hW_tag=r["hW_tag"],
             repairs=tuple(r["repairs"]),
         )
     rows = {}
@@ -252,8 +260,15 @@ def _read_tables(data_dir) -> tuple[dict[str, AnhElement], dict[str, TransformRo
     return anh, rows
 
 
+def _lookup(table: dict, key: str, what: str):
+    try:
+        return table[key]
+    except KeyError:
+        raise ValueError(f"unknown {what} {key!r}") from None
+
+
 def anh_element(tag: str) -> AnhElement:
-    return _load_tables()[0][tag]
+    return _lookup(_load_tables()[0], tag, "anharmonic tag")
 
 
 def anh_elements() -> list[AnhElement]:
@@ -261,7 +276,7 @@ def anh_elements() -> list[AnhElement]:
 
 
 def gii_by_name(name: str) -> TransformRow:
-    return _load_tables()[1][name]
+    return _lookup(_load_tables()[1], name, "anharmonic tag and shift")
 
 
 def gii_elements() -> list[TransformRow]:
@@ -290,8 +305,6 @@ def accessory_map(anh_tag: str, h: complex, gamma_sum: complex, k: complex) -> c
     a is the type's substitution scale, a^2 built with k'^2 = 1 - k^2, and
     gamma its adjudicated token (see ``verify.adjudicate_accessory_maps``).
     A gamma that failed adjudication raises InconclusiveAdjudication."""
-    if anh_tag not in ANH_TAGS:
-        raise ValueError(f"unknown anharmonic tag {anh_tag!r}")
     anh = anh_element(anh_tag)
     if isinstance(anh.gamma, str):
         raise InconclusiveAdjudication(

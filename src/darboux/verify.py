@@ -33,6 +33,7 @@ from .elliptic import (
     singular_points,
 )
 from .errors import (
+    DegenerateRecursion,
     DegenerateWronskian,
     InconclusiveAdjudication,
     InsufficientData,
@@ -54,6 +55,7 @@ from .symmetry import (
     GlyphEntry,
     scalar_repr,
     scalar_value,
+    upper_image,
 )
 
 # ---------------------------------------------------------------------------
@@ -67,14 +69,15 @@ PRINTED_KAPPA = {"I": (0, 1, 0), "A": (1, 1, -1), "B": (0, 0, 1),
 PRINTED_KAPPA_PRIME = {"I": (0, 0, 1), "A": (0, 0, -1), "B": (0, 1, 0),
                        "C": (3, -1, 1), "D": (3, 1, -1), "E": (0, -1, 0)}
 
-#: matrix representatives and the printed lambda/rho pairings
+#: matrix representatives (the GL2(Z) change of basis whose factor c tau + d
+#: the Weierstrass-form maps read) and the printed lambda/rho pairings
 PRINTED_ANH = {
     "I": {"matrix": ((1, 0), (0, 1)), "cross": "lam", "rho": (0, 1, 2)},
-    "A": {"matrix": ((1, 0), (1, 1)), "cross": "lam/(lam-1)", "rho": (0, 2, 1)},
-    "B": {"matrix": ((0, 1), (-1, 0)), "cross": "1/lam", "rho": (2, 1, 0)},
-    "C": {"matrix": ((1, 1), (0, 1)), "cross": "1-lam", "rho": (1, 0, 2)},
-    "D": {"matrix": ((-1, 1), (-1, 0)), "cross": "(lam-1)/lam", "rho": (1, 2, 0)},
-    "E": {"matrix": ((0, 1), (-1, -1)), "cross": "1/(1-lam)", "rho": (2, 0, 1)},
+    "A": {"matrix": ((1, 0), (1, -1)), "cross": "lam/(lam-1)", "rho": (0, 2, 1)},
+    "B": {"matrix": ((0, 1), (1, 0)), "cross": "1/lam", "rho": (2, 1, 0)},
+    "C": {"matrix": ((-1, 1), (0, 1)), "cross": "1-lam", "rho": (1, 0, 2)},
+    "D": {"matrix": ((1, -1), (1, 0)), "cross": "(lam-1)/lam", "rho": (1, 2, 0)},
+    "E": {"matrix": ((0, 1), (-1, 1)), "cross": "1/(1-lam)", "rho": (2, 0, 1)},
 }
 
 #: printed quarter periods K(kappa), K'(kappa): scale * (cK*K + cKp*K')
@@ -92,10 +95,6 @@ PRINTED_QUARTER = {
 PRINTED_GAMMA = {"I": None, "A": (2, 2, 0), "B": (2, 0, 0), "C": None,
                  "D": "h*kp^-2*(-h+S)", "E": (2, 2, 0)}
 PRINTED_OFF_FAMILY = {"h*kp^-2*(-h+S)": lambda h, S, k: h * (-h + S) / (1 - k * k)}
-
-#: Weierstrass-form accessory map per anharmonic type
-HW_TAGS = {"I": "h", "A": "(tau-1)^2*h", "B": "tau^2*h",
-           "C": "h", "D": "tau^2*h", "E": "(tau-1)^2*h"}
 
 #: printed 24-row joint table: shift index and three (scalar, glyph) entries
 PRINTED_ROWS = {
@@ -567,8 +566,9 @@ def adjudicate_lambda_pairings(taus=(0.31 + 1.13j, -0.4 + 0.9j, 2.1j), tol=1e-10
     evs = [evalues_from_tau(t) for t in taus]
     note = "pairing fixed by the lambda = k^2 normalization"
     for X in ANH_TAGS:
-        (a, b), (c, d) = PRINTED_ANH[X]["matrix"]
-        images = [(a * t + b) / (c * t + d) for t in taus]
+        matrix = PRINTED_ANH[X]["matrix"]
+        c, d = matrix[1]
+        images = [upper_image(matrix, t) for t in taus]
         lams_new = [lambda_of_tau(t) for t in images]
         evs_new = [evalues_from_tau(t) for t in images]
         cross_errs = {tag: max(abs(ln - f(lam)) for lam, ln in zip(lams, lams_new))
@@ -677,7 +677,6 @@ def regenerate_tables(k_values=DEFAULT_K_VALUES, u_grid=None, tol: float = 1e-10
             "quarter_Kp": coeff_json(quarters[X]["quarter_Kp"]),
             "quarter_scale": quarters[X]["quarter_scale"],
             "gamma": gammas[X],
-            "hW_tag": HW_TAGS[X],
             "repairs": repairs,
         })
     row_records = [rows[f"{X}{i}"] for X in ANH_TAGS for i in range(4)]
@@ -745,7 +744,8 @@ def lvariant_adjudicator(
     whose residuals pass `accept` uniformly wins; InconclusiveAdjudication
     if neither passes, or if both pass on a tuple where the disputed
     (xi+1)^2 term does not vanish.  An empty `tuples` or `k_values` raises
-    InsufficientData: no evidence gives no verdict.
+    InsufficientData: no evidence gives no verdict.  A tuple whose series
+    does not terminate raises DegenerateRecursion.
 
     Returns (verdict, evidence list).
     """
@@ -760,7 +760,7 @@ def lvariant_adjudicator(
     for exps in _nonempty(tuples, "tuple sample"):
         q = termination_check(ParamTuple(*exps, h=0.0, k=ks[0]))     # reads the exponents only
         if q is None:
-            raise ValueError(f"tuple {exps} does not terminate")
+            raise DegenerateRecursion(f"tuple {exps} does not terminate")
         if abs(exps[0] + 1) > 1e-12:
             informative = True
         for j, k in enumerate(ks):

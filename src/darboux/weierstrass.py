@@ -168,32 +168,22 @@ def half_period_shift(j: int, p: CurvePoint, ev: EValues) -> CurvePoint:
 
 
 def anh_on_E(tag_or_elem, p: CurvePoint) -> CurvePoint:
-    """The six explicit anharmonic maps on the curve family.
+    """The anharmonic map of the type's stored matrix ((a, b), (c, d)) on the
+    curve family: (f^2 x, f^3 y; (a tau + b)/f) with f = c tau + d.
 
     I:(x,y;tau), A:((tau-1)^2 x, (tau-1)^3 y; tau/(tau-1)),
     B:(tau^2 x, tau^3 y; 1/tau), C:(x, y; 1-tau),
     D:(tau^2 x, tau^3 y; (tau-1)/tau), E:((1-tau)^2 x, (1-tau)^3 y; 1/(1-tau)).
 
-    The output satisfies its own curve equation (same lattice up to the
-    scaling); ParabolicImage when the new tau is real, which happens only
-    for invalid (real) input tau.
+    A, B and C (det -1) keep the lower-half-plane image tau; ``mobius``
+    gives the upper one, which spans the same lattice.  The output satisfies
+    its own curve equation (same lattice up to the scaling); ParabolicImage
+    when the new tau is real, which happens only for invalid (real) input tau.
     """
-    tag = tag_or_elem.tag if isinstance(tag_or_elem, AnhElement) else tag_or_elem
-    tau = p.tau
-    if tag == "I":
-        fac, new_tau = 1.0 + 0j, tau
-    elif tag == "A":
-        fac, new_tau = tau - 1, tau / (tau - 1)
-    elif tag == "B":
-        fac, new_tau = tau, 1 / tau
-    elif tag == "C":
-        fac, new_tau = 1.0 + 0j, 1 - tau
-    elif tag == "D":
-        fac, new_tau = tau, (tau - 1) / tau
-    elif tag == "E":
-        fac, new_tau = 1 - tau, 1 / (1 - tau)
-    else:
-        raise ValueError(f"unknown anharmonic tag {tag!r}")
+    el = tag_or_elem if isinstance(tag_or_elem, AnhElement) else anh_element(tag_or_elem)
+    (a, b), (c, d) = el.matrix
+    fac = c * p.tau + d
+    new_tau = (a * p.tau + b) / fac
     if abs(complex(new_tau).imag) < _REAL_TAU_TOL:
         raise ParabolicImage(f"image tau = {new_tau} is real (invalid input tau)")
     if p.infinity:
@@ -229,15 +219,9 @@ def darboux_potential_algebraic(x: complex, ev: EValues, xi, eta, mu, nu,
 
 
 def accessory_weierstrass(tag: str, h: complex, tau: complex) -> complex:
-    """Weierstrass-form accessory map: I,C keep h; A,E give (tau-1)^2 h;
-    B,D give tau^2 h.  A's and E's stored matrices give the e-values the
-    factor (tau+1)^2; (tau-1)^2 is that of ((1,0),(-1,1)) and ((0,1),(-1,1)),
-    the same Gamma(2) cosets (same lambda and rho at tau = 0.31+1.13j)."""
-    hw = anh_element(tag).hW_tag
-    if hw == "h":
-        return h
-    if hw == "(tau-1)^2*h":
-        return (tau - 1) ** 2 * h
-    if hw == "tau^2*h":
-        return tau**2 * h
-    raise ValueError(f"unknown accessory tag {hw!r}")
+    """Weierstrass-form accessory map h_W = (c tau + d)^2 h, from the type's
+    stored matrix ((a, b), (c, d)): I and C keep h, A and E give (tau-1)^2 h,
+    B and D tau^2 h.  It follows from the weight-2 covariance
+    e'_j = (c tau + d)^2 e_rho(j) that ``adjudicate_lambda_pairings`` checks."""
+    c, d = anh_element(tag).matrix[1]
+    return (c * tau + d) ** 2 * h

@@ -31,6 +31,7 @@ from darboux.symmetry import (
     semidirect_compose,
     sigma_and_h,
 )
+from darboux.weierstrass import CurvePoint, accessory_weierstrass, anh_on_E
 
 GENERIC_P = ParamTuple(0.23, -0.41, 0.57, 1.13, h=0.77, k=0.6)
 
@@ -190,9 +191,15 @@ class TestAccessory:
                 want = CLOSED_FORMS[X](h, S, k * k)
                 assert abs(accessory_map(X, h, S, k) - want) <= 4e-15 * abs(want)
 
-    def test_unknown_tag_refused(self):
+    @pytest.mark.parametrize("call", [
+        lambda: accessory_map("F", 0.77, 1.94, 0.6),
+        lambda: accessory_weierstrass("Q", 1.0, 1j),
+        lambda: anh_on_E("Q", CurvePoint(x=1.0, y=1.0, tau=1j)),
+        lambda: gii_by_name("Z9"),
+    ], ids=["accessory_map", "accessory_weierstrass", "anh_on_E", "gii_by_name"])
+    def test_unknown_tag_refused(self, call):
         with pytest.raises(ValueError, match="unknown anharmonic tag"):
-            accessory_map("F", 0.77, 1.94, 0.6)
+            call()
 
     def test_sigma_of_I1(self):
         pt = sigma_and_h(gii_by_name("I1"), GENERIC_P)

@@ -21,6 +21,7 @@ from darboux.elliptic import (
 )
 from darboux.errors import (
     DegenerateModulus,
+    DegenerateRecursion,
     DegenerateWronskian,
     InconclusiveAdjudication,
     InsufficientData,
@@ -683,6 +684,10 @@ class TestVariantAdjudicator:
     def test_neither_variant_passing_is_inconclusive(self):
         with pytest.raises(InconclusiveAdjudication):
             lvariant_adjudicator(tuples=[(0, 0, 0, 3)], k_values=(0.6,), accept=1e-30)
+
+    def test_non_terminating_tuple_refused_with_a_type(self):
+        with pytest.raises(DegenerateRecursion, match=r"tuple \(0\.5, 0, 0, 0\) does not terminate"):
+            lvariant_adjudicator(tuples=[(0.5, 0, 0, 0)])
 
     def test_evidence_file_versioned(self):
         text = (DOCS_DIR / "lvariant_evidence.jsonl").read_text()

@@ -274,6 +274,28 @@ class TestAccessoryWeierstrass:
         assert accessory_weierstrass("B", h, tau) == tau**2 * h
         assert accessory_weierstrass("D", h, tau) == tau**2 * h
 
+    @pytest.mark.parametrize("tag", ANH_TAGS)
+    def test_weierstrass_form_covariance(self, tag):
+        # h - V(u; tau) = f^-2 (h_W - V(u/f; tau')) with f = c tau + d and
+        # tau' from the stored matrix, the (eta, mu, nu) slots permuted by rho
+        el = anh_element(tag)
+        c, d = el.matrix[1]
+        h, xi, gam = 0.77, 0.23, (-0.41, 0.57, 1.13)
+
+        def potential(u, tau, slots):
+            halves = (0.5, (1 + tau) / 2, tau / 2)
+            return xi * (xi + 1) * wp_tau(u, tau) + sum(
+                g * (g + 1) * wp_tau(u + w, tau) for g, w in zip(slots, halves))
+
+        for tau in (0.31 + 1.13j, -0.4 + 0.9j):
+            f, taut = c * tau + d, el.mobius(tau)
+            ht = accessory_weierstrass(tag, h, tau)
+            slots = [gam[el.rho[j]] for j in range(3)]
+            for u in (0.27 + 0.09j, 0.4 - 0.13j, 0.13 + 0.31j):
+                lhs = h - potential(u, tau, gam)
+                rhs = f**-2 * (ht - potential(u / f, taut, slots))
+                assert abs(lhs - rhs) <= 1e-12 * max(1, abs(lhs)), (tag, tau, u)
+
     def test_worked_A_example(self):
         # the A-map worked through the equation: with omega1 = tau/2,
         # omega2 = 1/2 + tau/2, omega3 = 1/2, u~ = u/(tau-1),
