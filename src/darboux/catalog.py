@@ -106,7 +106,6 @@ def instantiate(
     sid: SolutionId,
     p: ParamTuple,
     N: int = 200,
-    variant: str = "corrected",
     mode: str = "auto",
 ):
     """An evaluable u -> value composite solution, plus its descriptor.
@@ -119,11 +118,11 @@ def instantiate(
     """
     pt = transformed_tuple(sid, p)
     a, b = sid.row.substitution_parts(p.k)
-    coeffs = dl_coefficients(pt, N, variant=variant, mode=mode)
+    coeffs = dl_coefficients(pt, N, mode=mode)
 
     def solution(u):
         w = a * (u + b)
-        return dl_eval(pt, w, variant=variant, coeffs=coeffs)
+        return dl_eval(pt, w, coeffs=coeffs)
 
     desc = DlDescriptor(
         solution_id=sid,
@@ -140,12 +139,10 @@ def transformed_termination(sid: SolutionId, p: ParamTuple) -> int | None:
     return termination_check(transformed_tuple(sid, p))
 
 
-def transformed_convergence(
-    sid: SolutionId, p: ParamTuple, depth: int = 400, variant: str = "corrected"
-) -> float:
+def transformed_convergence(sid: SolutionId, p: ParamTuple, depth: int = 400) -> float:
     """Convergence radius (in |sn(w, kappa_X)|) of the transformed series."""
     pt = transformed_tuple(sid, p)
-    return convergence_domain(pt, pt.h, depth=depth, variant=variant)
+    return convergence_domain(pt, pt.h, depth=depth)
 
 
 def _walk_grid() -> np.ndarray:

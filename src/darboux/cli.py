@@ -49,7 +49,6 @@ class RunConfig:
     guard: float = 0.05
     seed: int = 0
     fmt: str = "json-lines"
-    variant: str = "corrected"
 
     def validate(self) -> None:
         if self.truncation < 8:
@@ -75,8 +74,6 @@ class _Emitter:
         self._header_done = False
 
     def emit(self, record: dict) -> None:
-        record = dict(record)
-        record.setdefault("variant", self.cfg.variant)
         if self.cfg.fmt == "csv":
             if not self._header_done:
                 self.stream.write(",".join(record.keys()) + "\n")
@@ -88,11 +85,17 @@ class _Emitter:
 
 def _parse_number(text: str):
     """Exact rational when possible (integers survive termination checks
-    exactly), complex otherwise."""
+    exactly), complex otherwise; a zero denominator or a rational beyond
+    the float range is an input error."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ValueError:
         return complex(text.replace(" ", ""))
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+    if abs(value) > Fraction(sys.float_info.max):
+        raise ValueError(f"{text!r} is beyond the float range")
+    return value
 
 
 def _to_complex(v) -> complex:
@@ -121,9 +124,7 @@ def _add_param_flags(sp, need_h: bool = True):
 
 
 def _add_common(sp, *tuning):
-    """--variant and --format (every record is stamped), plus the named
-    tuning flags of ``_TUNING``."""
-    sp.add_argument("--variant", choices=("corrected", "paper"), default="corrected")
+    """--format, plus the named tuning flags of ``_TUNING``."""
     sp.add_argument("--format", dest="fmt", choices=("json-lines", "csv"), default="json-lines")
     for flag in tuning:
         default = getattr(RunConfig, _TUNING[flag])
@@ -143,10 +144,12 @@ def cmd_eval(args, cfg: RunConfig, out: _Emitter) -> int:
         us = np.array([complex(t) for t in args.points])
     else:
         lo, hi, n = args.u_range
+        if int(n) < 1:
+            raise ValueError(f"--u-range needs N >= 1 points, got {n}")
         us = np.linspace(float(lo), float(hi), int(n)).astype(complex)
-    coeffs = dl_coefficients(p, cfg.truncation, variant=cfg.variant)
+    coeffs = dl_coefficients(p, cfg.truncation)
     try:
-        res = dl_eval(p, us, variant=cfg.variant, coeffs=coeffs, detail=True)
+        res = dl_eval(p, us, coeffs=coeffs, detail=True)
     except OutsideConvergence as exc:
         # domain violation: a single diagnostic record naming the first
         # offending point, no partial output
@@ -164,16 +167,14 @@ def cmd_eigen(args, cfg: RunConfig, out: _Emitter) -> int:
         if q is None:
             print("polynomial mode requires a terminating parameter tuple", file=sys.stderr)
             return EXIT_MODE
-        for h in polynomial_eigenvalues(p, q, variant=cfg.variant):
+        for h in polynomial_eigenvalues(p, q):
             out.emit({"h": _cstr(h), "mode": "polynomial", "q": q, "stable": True})
         return EXIT_OK
     if not args.region:
         print("function mode requires --region", file=sys.stderr)
         return EXIT_MODE
     region = tuple(float(x) for x in args.region)
-    roots = darboux_function_eigenvalues(
-        p, region, depth=cfg.cf_depth, variant=cfg.variant, tol=cfg.tolerance
-    )
+    roots = darboux_function_eigenvalues(p, region, depth=cfg.cf_depth, tol=cfg.tolerance)
     for h in roots:
         out.emit({"h": _cstr(h), "mode": "function", "depth": cfg.cf_depth, "stable": True})
     return EXIT_OK
@@ -203,7 +204,7 @@ def cmd_catalog(args, cfg: RunConfig, out: _Emitter) -> int:
             sample.append(sid)
     worst = 0.0
     for sid in sample:
-        fn, desc = cat.instantiate(sid, p, N=cfg.truncation, variant=cfg.variant)
+        fn, desc = cat.instantiate(sid, p, N=cfg.truncation)
         pts = cat.sample_points(sid, p)
         rep = verify.ode_residual(fn, p, pts, guard=cfg.guard)
         worst = max(worst, rep.max_relative_residual)
@@ -261,7 +262,7 @@ def cmd_identities(args, cfg: RunConfig, out: _Emitter) -> int:
             u = 0.08 + 0.2 * rng.random() + 0.1j * rng.random()
             e = potential(u, k)
             e = max(e) if isinstance(e, tuple) else e   # landen checks two potentials
-            lhs, rhs = pair(*lead, k, u, N=cfg.truncation, variant=cfg.variant)
+            lhs, rhs = pair(*lead, k, u, N=cfg.truncation)
             err = abs(lhs / rhs - 1)
             out.emit({"identity": name, "u": _cstr(u), "potential_err": e, "dl_relative_err": err})
             failed = failed or e > 1e-12 or err > 1e-8
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="evaluate a local series solution")
     _add_param_flags(sp)
-    sp.add_argument("--points", nargs="*", default=None, help="explicit u points")
+    sp.add_argument("--points", nargs="+", default=None, help="explicit u points")
     sp.add_argument("--u-range", nargs=3, default=("0.1", "1.0", "9"),
                     metavar=("LO", "HI", "N"))
     _add_common(sp, "trunc")

@@ -70,13 +70,7 @@ def landen_potential_identity(u: complex, k: complex) -> tuple[float, float]:
 
 
 def landen_pair(
-    xi: complex,
-    nu: complex,
-    h: complex,
-    k: complex,
-    u: complex,
-    N: int = 200,
-    variant: str = "corrected",
+    xi: complex, nu: complex, h: complex, k: complex, u: complex, N: int = 200
 ) -> tuple[complex, complex]:
     """Both sides of the Landen transformation formula:
 
@@ -89,10 +83,8 @@ def landen_pair(
     kp = cmath.sqrt(1 - k * k)
     ks = landen_modulus(k)
     hs = landen_accessory(h, xi, nu, k)
-    lhs = dl_eval(ParamTuple(xi, 0.0, 0.0, nu, h=hs, k=ks), (1 + kp) * u, N=N, variant=variant)
-    rhs = (1 + kp) ** (xi + 1) * dl_eval(
-        ParamTuple(xi, xi, nu, nu, h=h, k=k), u, N=N, variant=variant
-    )
+    lhs = dl_eval(ParamTuple(xi, 0.0, 0.0, nu, h=hs, k=ks), (1 + kp) * u, N=N)
+    rhs = (1 + kp) ** (xi + 1) * dl_eval(ParamTuple(xi, xi, nu, nu, h=h, k=k), u, N=N)
     return lhs, rhs
 
 
@@ -108,19 +100,12 @@ def duplication_potential_identity(u: complex, k: complex) -> float:
 
 
 def duplication_pair(
-    xi: complex,
-    h: complex,
-    k: complex,
-    u: complex,
-    N: int = 200,
-    variant: str = "corrected",
+    xi: complex, h: complex, k: complex, u: complex, N: int = 200
 ) -> tuple[complex, complex]:
     """Both sides of the duplication formula:
 
         Dl(xi,0,0,0; h/4; 2u, k) = 2^(xi+1) Dl(xi,xi,xi,xi; h; u, k).
     """
-    lhs = dl_eval(ParamTuple(xi, 0.0, 0.0, 0.0, h=h / 4, k=k), 2 * complex(u), N=N, variant=variant)
-    rhs = 2 ** (xi + 1) * dl_eval(
-        ParamTuple(xi, xi, xi, xi, h=h, k=k), u, N=N, variant=variant
-    )
+    lhs = dl_eval(ParamTuple(xi, 0.0, 0.0, 0.0, h=h / 4, k=k), 2 * complex(u), N=N)
+    rhs = 2 ** (xi + 1) * dl_eval(ParamTuple(xi, xi, xi, xi, h=h, k=k), u, N=N)
     return lhs, rhs

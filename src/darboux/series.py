@@ -5,17 +5,12 @@ The solution with exponent xi+1 is
     sn^(xi+1) cn^(eta+1) dn^(mu+1) * sum_m C_m sn^(2m),
 
 with a three-term recursion M_m C_{m+1} + L_m C_m + K_m C_{m-1} = 0,
-C_{-1} = 0, C_0 = 1.  Two L_m variants are first-class citizens:
-
-* ``"paper"``    : L_m = h - (2m+eta+xi+2)^2 - k^2 (2m+mu+xi+2)^2
-                       + (k^2+1)(xi+1)^2
-* ``"corrected"``: the same without the (k^2+1)(xi+1)^2 term.
-
-The corrected form is what an independent Frobenius rederivation in the
-variable t = sn^2 u produces, and it is the variant under which the
-classical closed-form eigensolutions (sn, cn, dn, sn*cn, sn*cn*dn, ...)
-satisfy the equation; the residual adjudicator in :mod:`darboux.verify`
-selects it as the default.  Both remain callable everywhere.
+C_{-1} = 0, C_0 = 1, L_m = h - (2m+eta+xi+2)^2 - k^2 (2m+mu+xi+2)^2.
+This is what an independent Frobenius rederivation in the variable
+t = sn^2 u produces, and the classical closed-form eigensolutions (sn, cn,
+dn, sn*cn, sn*cn*dn, ...) satisfy it.  The paper prints L_m with an extra
+(k^2+1)(xi+1)^2, so its recursion at h is this one at h + (k^2+1)(xi+1)^2;
+the residual adjudicator in :mod:`darboux.verify` rejects that term.
 
 Terminating solutions (Darboux polynomials) exist when one of
 
@@ -58,8 +53,6 @@ from .errors import (
 )
 from .symmetry import ParamTuple
 
-VARIANTS = ("corrected", "paper")
-
 _INT_TOL = 1e-9          # tolerance for integer matching in termination tests
 _LOG_TOL = 1e-12         # tolerance for the logarithmic-exponent guard
 _RESCALE_LIMIT = 2.0**512
@@ -84,19 +77,16 @@ def _check_log_case(xi: complex) -> None:
         raise LogarithmicCase(f"xi = {xi} is in {{-3/2, -5/2, ...}}")
 
 
-def _weights(p: ParamTuple, variant: str, n: int):
+def _weights(p: ParamTuple, n: int):
     """The h-free recursion table of p for m = 0..n-1: the three diagonals of
     the truncation matrix J as lists M, D, K of Python scalars, with
-    L_m = h - D[m] (D_m = A_m + B_m - c: the two squares of L_m and the
-    paper variant's constant c).  Each public entry point builds it once,
-    for the largest index it reads, and passes it down; an entry does not
-    depend on n.  The entries take the parameters' types (0, 0.0 and 0j
-    give int, float and complex entries).  Int tables that could pass int64
-    are built in float (each entry is at most 4 b^2 max(1, |k^2|), with b
-    bounding every linear factor); tables beyond the float range raise
-    CoefficientOverflow."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+    L_m = h - D[m] (D_m: the two squares of L_m).  Each public entry point
+    builds it once, for the largest index it reads, and passes it down; an
+    entry does not depend on n.  The entries take the parameters' types (0,
+    0.0 and 0j give int, float and complex entries).  Int tables that could
+    pass int64 are built in float (each entry is at most 4 b^2 max(1,
+    |k^2|), with b bounding every linear factor); tables beyond the float
+    range raise CoefficientOverflow."""
     xi, eta, mu, nu = p.exponents
     k = p.k
     if not all(cmath.isfinite(g) for g in (xi, eta, mu, nu)):
@@ -109,9 +99,8 @@ def _weights(p: ParamTuple, variant: str, n: int):
         m2 = m2.astype(float)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            c = (k2 + 1) * (xi + 1) ** 2 if variant == "paper" else 0
             M = (m2 + 2) * (m2 + 2 * xi + 3)
-            D = (m2 + (eta + xi + 2)) ** 2 + k2 * (m2 + (mu + xi + 2)) ** 2 - c
+            D = (m2 + (eta + xi + 2)) ** 2 + k2 * (m2 + (mu + xi + 2)) ** 2
             K = k2 * (m2 + (xi + eta + mu + nu + 2)) * (m2 + (xi + eta + mu - nu + 1))
         finite = all(np.isfinite(t).all() for t in (M, D, K))
     except OverflowError:   # a Python power or int beyond the float range
@@ -126,11 +115,11 @@ def _check_h(h: complex) -> None:
         raise NonFiniteExponent(f"accessory parameter h = {h} is not finite")
 
 
-def recursion_coeffs(m: int, p: ParamTuple, variant: str = "corrected") -> RecursionCoeffs:
+def recursion_coeffs(m: int, p: ParamTuple) -> RecursionCoeffs:
     """Weights (M_m, L_m, K_m) of the three-term recursion at index m."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    M, D, K = _weights(p, variant, m + 1)
+    M, D, K = _weights(p, m + 1)
     _check_h(p.h)
     return RecursionCoeffs(M=M[m], L=p.h - D[m], K=K[m])
 
@@ -188,9 +177,7 @@ class SeriesCoefficients:
         return complex(math.ldexp(dv.real, de), math.ldexp(dv.imag, de))
 
 
-def dl_coefficients(
-    p: ParamTuple, N: int, variant: str = "corrected", mode: str = "auto"
-) -> SeriesCoefficients:
+def dl_coefficients(p: ParamTuple, N: int, mode: str = "auto") -> SeriesCoefficients:
     """Coefficients C_0..C_N of the local solution, C_{-1} = 0, C_0 = 1.
 
     Modes
@@ -221,9 +208,9 @@ def dl_coefficients(
         raise ValueError("N must be >= 0")
     q = termination_check(p)
     if mode == "forward" or q is not None:
-        return _coefficients_forward(p, _weights(p, variant, N), N, q)
+        return _coefficients_forward(p, _weights(p, N), N, q)
     depth = max(2 * N, 200)     # the fraction's depth cap, and the depth of its tails
-    tables = _weights(p, variant, depth + 1)
+    tables = _weights(p, depth + 1)
     if mode == "auto" and not _is_cf_root(p.h, tables, depth):
         return _coefficients_forward(p, tables, N, q)
     g, _, _, tails = _cf_pass(p.h, tables, depth, tails=True)
@@ -321,14 +308,14 @@ def _tridiagonal_eigvals(J: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(S).astype(complex)
 
 
-def polynomial_eigenvalues(p: ParamTuple, q: int, variant: str = "corrected") -> np.ndarray:
+def polynomial_eigenvalues(p: ParamTuple, q: int) -> np.ndarray:
     """The q+1 accessory parameters that terminate the series at degree q:
     the eigenvalues of the truncation matrix J_{q+1}, sorted by real part
     (h in `p` is ignored)."""
     qt = termination_check(p)
     if qt is None or qt != q:
         raise DegenerateRecursion(f"termination relation does not hold with q = {q} (got {qt})")
-    eig = _tridiagonal_eigvals(_truncation_matrix(_weights(p, variant, q + 1), q + 1))
+    eig = _tridiagonal_eigvals(_truncation_matrix(_weights(p, q + 1), q + 1))
     return eig[np.argsort(eig.real + 1e-9 * eig.imag)]
 
 
@@ -431,7 +418,7 @@ def _is_cf_root(h: complex, tables, depth: int) -> bool:
     return abs(_cf_value(h, tables, depth)[0]) < _ROOT_TOL
 
 
-def infinite_cf(h: complex, p: ParamTuple, depth: int = 400, variant: str = "corrected") -> CFValue:
+def infinite_cf(h: complex, p: ParamTuple, depth: int = 400) -> CFValue:
     """g(h) = L0/M0 - (K1/M1)/(L1/M1 - (K2/M2)/(L2/M2 - ...)).
 
     Backward (tail-to-head) evaluation at the depth the fraction needs, with
@@ -442,7 +429,7 @@ def infinite_cf(h: complex, p: ParamTuple, depth: int = 400, variant: str = "cor
     and retries).
     """
     _check_depth(depth)
-    tables = _weights(p, variant, depth + 2)
+    tables = _weights(p, depth + 2)
     g, _, bound, n = _cf_value(h, tables, depth)
     return CFValue(value=g, depth=n, truncation_bound=bound)
 
@@ -451,7 +438,6 @@ def darboux_function_eigenvalues(
     p: ParamTuple,
     region,
     depth: int = 400,
-    variant: str = "corrected",
     tol: float = 1e-10,
 ) -> list[complex]:
     """Accessory parameters where the infinite continued fraction vanishes.
@@ -478,7 +464,7 @@ def darboux_function_eigenvalues(
         raise ValueError(f"region {region}: each lower bound must be at most its upper bound")
     q = termination_check(p)
     top = depth + 1 if q is None else min(depth, q) + 1
-    tables = _weights(p, variant, 2 * depth + 1)
+    tables = _weights(p, 2 * depth + 1)
     prev, n = None, 32
     while True:
         found, resolved = _matrix_roots(tables, min(n, top), box, depth, tol)
@@ -547,7 +533,7 @@ def _polish_root(tables, r, depth, tol) -> tuple[complex, complex]:
     return x, g
 
 
-def convergence_domain(p: ParamTuple, h: complex, depth: int = 400, variant: str = "corrected") -> float:
+def convergence_domain(p: ParamTuple, h: complex, depth: int = 400) -> float:
     """Certified convergence radius in |sn u|.
 
     max(1, |k|^-1) when the infinite continued fraction vanishes at h,
@@ -561,10 +547,10 @@ def convergence_domain(p: ParamTuple, h: complex, depth: int = 400, variant: str
         raise ModulusOnUnitCircle("|k| = 1: convergence radii coincide")
     q = termination_check(p)      # p.h is not read: the tables and J are h-free
     if q is not None:
-        eigs = polynomial_eigenvalues(p, q, variant)
+        eigs = polynomial_eigenvalues(p, q)
         if any(abs(h - e) < 1e-8 * max(1.0, abs(e)) for e in eigs):
             return math.inf
-    if _is_cf_root(h, _weights(p, variant, depth + 1), depth):
+    if _is_cf_root(h, _weights(p, depth + 1), depth):
         return max(1.0, 1.0 / ak)
     return min(1.0, 1.0 / ak)
 
@@ -670,7 +656,6 @@ def dl_eval(
     p: ParamTuple,
     u,
     N: int = 200,
-    variant: str = "corrected",
     mode: str = "auto",
     coeffs: SeriesCoefficients | None = None,
     detail: bool = False,
@@ -689,7 +674,7 @@ def dl_eval(
     Poincare ratio |sn u|^2 / radius^2.
     """
     if coeffs is None:
-        coeffs = dl_coefficients(p, N, variant=variant, mode=mode)
+        coeffs = dl_coefficients(p, N, mode=mode)
     return _dl_from_jacobi(p, coeffs, *jacobi_sn_cn_dn(u, p.k), detail=detail)
 
 

@@ -134,6 +134,13 @@ PRINTED_SIGMAS = {
     "E0": (0, 3, 1, 2), "E1": (1, 2, 0, 3), "E2": (2, 1, 3, 0), "E3": (3, 0, 2, 1),
 }
 
+
+def printed_l_shift(xi, k):
+    """The printed L_m's extra term (k^2+1)(xi+1)^2, a constant in m: the
+    printed recursion at h is the corrected one at h + this shift."""
+    return (k * k + 1) * (xi + 1) ** 2
+
+
 DEFAULT_K_VALUES = (0.3, 0.6, 0.9)
 
 
@@ -736,11 +743,13 @@ def lvariant_adjudicator(
 ):
     """Decide between the printed and corrected L_m via the residual oracle.
 
-    For each terminating tuple and each variant, build the Darboux
-    polynomial at the variant's own eigenvalue and measure the ODE residual
-    of the resulting function against the original equation, as
-    ``ode_residual`` does; the grid, its pole guard, its stencil and sn, cn,
-    dn on the stencil are computed once per modulus.  The variant
+    For each terminating tuple and modulus, build the Darboux polynomial at
+    the corrected recursion's lowest eigenvalue h and measure its ODE
+    residual against the original equation, as ``ode_residual`` does, at h
+    (``corrected``) and at h - ``printed_l_shift`` (``paper``): the printed
+    recursion has the same polynomial there, since its truncation matrix is
+    J - shift I.  The grid, its pole guard, its stencil and sn, cn, dn on
+    the stencil are computed once per modulus.  The variant
     whose residuals pass `accept` uniformly wins; InconclusiveAdjudication
     if neither passes, or if both pass on a tuple where the disputed
     (xi+1)^2 term does not vanish.  An empty `tuples` or `k_values` raises
@@ -770,16 +779,15 @@ def lvariant_adjudicator(
                 jac = [x.reshape(stencil.shape) for x in jacobi_sn_cn_dn(stencil.ravel(), k)]
                 frames.append((jac, [x[_CENTRE] for x in jac]))
             jac, centre = frames[j]
-            base = ParamTuple(*exps, h=0.0, k=k)
-            for variant in ("corrected", "paper"):
-                eig = polynomial_eigenvalues(base, q, variant)[0]
-                p = ParamTuple(*exps, h=eig, k=k)
-                coeffs = dl_coefficients(p, max(8, 2 * q + 4), variant=variant, mode="forward")
-                rep = _residual_report(_dl_from_jacobi(p, coeffs, *jac), _potential_from_jacobi(p, *centre),
-                                       p.h, step)
+            eig = polynomial_eigenvalues(ParamTuple(*exps, h=0.0, k=k), q)[0]
+            p = ParamTuple(*exps, h=eig, k=k)
+            vals = _dl_from_jacobi(p, dl_coefficients(p, max(8, 2 * q + 4)), *jac)
+            potential = _potential_from_jacobi(p, *centre)
+            for variant, h in (("corrected", eig), ("paper", eig - printed_l_shift(exps[0], k))):
+                rep = _residual_report(vals, potential, h, step)
                 evidence.append(VariantEvidence(
                     exponents=exps, k=k, variant=variant,
-                    eigenvalue=complex(eig), residual=rep.max_relative_residual,
+                    eigenvalue=complex(h), residual=rep.max_relative_residual,
                 ))
                 if rep.max_relative_residual > accept:
                     passing[variant] = False

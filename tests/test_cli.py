@@ -40,7 +40,7 @@ class TestEval:
             u = complex(r["u"])
             ref = jacobi_sn_cn_dn(u, k)[0]
             assert abs(complex(r["re"], r["im"]) - ref) < 1e-8
-            assert r["variant"] == "corrected"
+            assert "variant" not in r
 
     def test_value_at_zero(self, capsys):
         code, out = run_cli(
@@ -77,6 +77,32 @@ class TestEval:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: exponents")
+
+    @pytest.mark.parametrize("flag", ["--nu", "--h"])
+    @pytest.mark.parametrize("text, reason", [("1/0", "has a zero denominator"),
+                                              ("1e400", "is beyond the float range")],
+                             ids=["zero-denominator", "beyond-float-range"])
+    def test_rational_without_a_float_exit_2_one_error_line(self, flag, text, reason, capsys):
+        # never a bare ZeroDivisionError or OverflowError traceback
+        code = main(["eval", "--k", "0.6", "--points", "0.3", flag, text])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err == f"error: {text!r} {reason}\n"
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_empty_range_exit_2_one_error_line(self, n, capsys):
+        code = main(["eval", "--k", "0.6", "--nu", "1", "--h", "0.83", "--u-range", "0.1", "0.5", n])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err == f"error: --u-range needs N >= 1 points, got {n}\n"
+
+    def test_points_without_values_is_a_usage_error(self, capsys):
+        # never a silent fall-back to the default range
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--k", "0.6", "--nu", "1", "--h", "0.83", "--points"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--points: expected at least one argument" in captured.err
 
 
 class TestEigen:
@@ -283,15 +309,31 @@ class TestDeterminismAndFormats:
         assert lines[0].split(",")[:2] == ["tau", "lambda_re"]
         assert len(lines) == 3
 
-    def test_variant_stamped(self, capsys):
-        _, out = run_cli(
-            ["eigen", "--k", "0.6", "--nu", "3", "--mode", "polynomial",
-             "--variant", "paper"],
+    def test_csv_has_no_variant_column(self, capsys):
+        code, out = run_cli(
+            ["eval", "--k", "0.6", "--nu", "1", "--h", "0.83", "--points", "0.3", "--format", "csv"],
             capsys,
         )
-        r = records(out)[0]
-        assert r["variant"] == "paper"
-        assert abs(complex(r["h"]) - (4 * 1.36 - 1.36)) < 1e-10
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "u,re,im,tail_bound"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--k", "0.6", "--nu", "1", "--h", "0.83", "--points", "0.3"],
+        ["eigen", "--k", "0.6", "--nu", "3", "--mode", "polynomial"],
+        ["catalog", "list", "--k", "0.6"],
+        ["transform", "--row", "A0", "--k", "0.6"],
+        ["identities", "--landen"],
+        ["lambda", "1j"],
+        ["weierstrass", "evalues"],
+        ["verify"],
+    ], ids=lambda argv: argv[0])
+    def test_variant_flag_is_a_usage_error(self, argv, capsys):
+        # the printed recursion is the corrected one at a shifted h
+        # (tests/test_recursion_kernel.py): no command takes a variant
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--variant", "paper"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --variant paper" in capsys.readouterr().err
 
     def test_config_validation(self, capsys):
         code, _ = run_cli(

@@ -36,6 +36,7 @@ from darboux.series import (
     recursion_coeffs,
     termination_check,
 )
+from darboux.verify import lvariant_adjudicator, printed_l_shift
 
 K = 0.6
 
@@ -59,10 +60,13 @@ class TestRecursionCoeffs:
         assert rc.L == pytest.approx(0.5 - 1 - K * K, rel=1e-15)
 
     def test_paper_variant_offset(self):
+        # the printed L_m adds (k^2+1)(xi+1)^2: it is the kernel's L_m at h + c
         xi = 0.4
-        a = recursion_coeffs(2, P(xi, 0.1, 0.2, 0.3, h=1.0), "corrected")
-        b = recursion_coeffs(2, P(xi, 0.1, 0.2, 0.3, h=1.0), "paper")
-        assert abs(b.L - a.L - (K * K + 1) * (xi + 1) ** 2) < 1e-14
+        c = printed_l_shift(xi, K)
+        assert c == pytest.approx((K * K + 1) * (xi + 1) ** 2, rel=1e-15)
+        a = recursion_coeffs(2, P(xi, 0.1, 0.2, 0.3, h=1.0))
+        b = recursion_coeffs(2, P(xi, 0.1, 0.2, 0.3, h=1.0 + c))
+        assert abs(b.L - a.L - c) < 1e-14
         assert b.M == a.M and b.K == a.K
 
     def test_logarithmic_guard(self):
@@ -155,12 +159,15 @@ class TestEigenvalues:
         assert len(polynomial_eigenvalues(p, 2)) == 3
 
     def test_variant_shift_exact(self):
-        p = P(0.4, 0.1, -0.5, -4.0)  # sum = -4: q = 0
-        q = termination_check(p)
-        a = polynomial_eigenvalues(p, q, "corrected")
-        b = polynomial_eigenvalues(p, q, "paper")
+        # the printed truncation matrix is J - cI: the adjudicator scores the
+        # printed reading at the corrected eigenvalue minus c
+        exps = (0.4, 0.1, -0.5, -4.0)  # sum = -4: q = 0
+        p = P(*exps)
+        a, b = lvariant_adjudicator(tuples=[exps], k_values=(K,))[1]
+        assert (a.variant, b.variant) == ("corrected", "paper")
+        assert a.eigenvalue == polynomial_eigenvalues(p, termination_check(p))[0]
         shift = (K * K + 1) * (0.4 + 1) ** 2
-        assert np.allclose(b, a - shift, atol=1e-12)
+        assert abs(b.eigenvalue - (a.eigenvalue - shift)) < 1e-12
 
     def test_wrong_q_raises(self):
         with pytest.raises(DegenerateRecursion):
@@ -331,7 +338,7 @@ class TestContinuedFraction:
         # the depth-400 pass to rounding
         p = P(0.2, 0.1, 0.4, 0.9)
         cf = infinite_cf(0.9, p, depth=400)
-        tables = series._weights(p, "corrected", 401)
+        tables = series._weights(p, 401)
         full = series._cf_pass(0.9, tables, 400)[0]
         rc = recursion_coeffs(0, p)
         scale = 2.0**-52 * (abs(rc.L / rc.M) + abs(rc.L / rc.M - full))
@@ -354,7 +361,7 @@ class TestContinuedFraction:
     @pytest.mark.parametrize("p, h", [(P(0.2, 0.1, 0.4, 0.9), 0.9), (P(0, 0, 0, 1), 3.6 + 0.2j),
                                       (P(0, 0, 0, 1, k=0.5 + 0.3j), 15.0 - 2.0j)])
     def test_slope_is_the_derivative(self, p, h):
-        tables = series._weights(p, "corrected", 401)
+        tables = series._weights(p, 401)
         _, slope, _, _ = series._cf_pass(h, tables, 400)
         d = 1e-5
         central = (series._cf_pass(h + d, tables, 400)[0] - series._cf_pass(h - d, tables, 400)[0]) / (2 * d)
@@ -497,7 +504,7 @@ class TestScanner:
         p = P(*exps, k=k)
         region = ((lo, lo + width), (-height, height)) if height else (lo, lo + width)
         box = region if height else (region, (0.0, 0.0))
-        full, _ = _matrix_roots(series._weights(p, "corrected", 401), 401, box, 400, 1e-10)
+        full, _ = _matrix_roots(series._weights(p, 401), 401, box, 400, 1e-10)
         roots = darboux_function_eigenvalues(p, region, depth=400)
         assert roots == pytest.approx(sorted(full, key=lambda z: (z.real, z.imag)), abs=1e-8)
 
@@ -540,7 +547,7 @@ class TestTridiagonalEigvals:
         ((2.9, 2.9, 2.9, 0.1), 0.95),
     ])
     def test_symmetric_path_matches_dense_eigvals(self, exps, k, n):
-        J = series._truncation_matrix(series._weights(P(*exps, k=k), "corrected", n), n)
+        J = series._truncation_matrix(series._weights(P(*exps, k=k), n), n)
         assert (np.diagonal(J, 1) * np.diagonal(J, -1)).real.min(initial=1.0) > 0
         got = np.sort(series._tridiagonal_eigvals(J))
         want = np.linalg.eigvals(J)
@@ -554,7 +561,7 @@ class TestTridiagonalEigvals:
         ((-0.4, -0.2, -0.35, 2.5), 0.85),
     ])
     def test_real_path_with_negative_product_matches_dense_eigvals(self, monkeypatch, exps, k, n):
-        J = series._truncation_matrix(series._weights(P(*exps, k=k), "corrected", n), n)
+        J = series._truncation_matrix(series._weights(P(*exps, k=k), n), n)
         assert (np.diagonal(J, 1) * np.diagonal(J, -1)).real[0] < 0
         solve, solved = np.linalg.eigvals, []
         want = solve(J)
@@ -587,7 +594,7 @@ class TestTridiagonalEigvals:
 
 def _minimal_reference(p, N, depth=1200):
     """C_0..C_N of the minimal solution: the products of the tails of a
-    40-digit backward continued fraction at `depth` (corrected variant)."""
+    40-digit backward continued fraction at `depth`."""
     with mp.workdps(40):
         xi, eta, mu, nu = (mp.mpf(x) for x in p.exponents)
         k2, h = mp.mpf(p.k) ** 2, mp.mpf(p.h)

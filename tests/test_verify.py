@@ -58,6 +58,7 @@ from darboux.verify import (
     identity_harness,
     lvariant_adjudicator,
     ode_residual,
+    printed_l_shift,
     regenerate_tables,
     wronskian_constancy,
 )
@@ -388,12 +389,12 @@ def _variant_evidence_one_residual_call_each(k_values):
             base = ParamTuple(*exps, h=0.0, k=k)
             q = termination_check(base)
             grid = np.linspace(0.25, 0.8, 7) * complete_elliptic(k)[0].real
-            for variant in ("corrected", "paper"):
-                eig = polynomial_eigenvalues(base, q, variant)[0]
-                p = ParamTuple(*exps, h=eig, k=k)
-                coeffs = dl_coefficients(p, max(8, 2 * q + 4), variant=variant, mode="forward")
-                rep = ode_residual(lambda u: dl_eval(p, u, coeffs=coeffs), p, grid)
-                evidence.append(VariantEvidence(exps, k, variant, complex(eig), rep.max_relative_residual))
+            eig = polynomial_eigenvalues(base, q)[0]
+            p = ParamTuple(*exps, h=eig, k=k)
+            coeffs = dl_coefficients(p, max(8, 2 * q + 4), mode="forward")
+            for variant, h in (("corrected", eig), ("paper", eig - printed_l_shift(exps[0], k))):
+                rep = ode_residual(lambda u: dl_eval(p, u, coeffs=coeffs), ParamTuple(*exps, h=h, k=k), grid)
+                evidence.append(VariantEvidence(exps, k, variant, complex(h), rep.max_relative_residual))
     return evidence
 
 
@@ -666,13 +667,10 @@ class TestVariantAdjudicator:
 
     def test_xi_minus_one_uninformative(self):
         # the disputed term carries (xi+1)^2: both variants coincide there
-        from darboux.series import polynomial_eigenvalues, termination_check
-
-        p = ParamTuple(-1, 0, 0, 2, h=0.0, k=K)
-        q = termination_check(p)
-        a = polynomial_eigenvalues(p, q, "corrected")
-        b = polynomial_eigenvalues(p, q, "paper")
-        assert np.allclose(a, b, atol=1e-13)
+        assert printed_l_shift(-1, complex(K)) == 0
+        verdict, (a, b) = lvariant_adjudicator(tuples=[(-1, 0, 0, 2)], k_values=(K,))
+        assert verdict == "corrected" and (a.variant, b.variant) == ("corrected", "paper")
+        assert (a.eigenvalue, a.residual) == (b.eigenvalue, b.residual) and a.residual <= 1e-6
 
     def test_verdict_stable_across_k(self):
         for k in (0.3, 0.9):
