@@ -102,12 +102,7 @@ def transformed_tuple(sid: SolutionId, p: ParamTuple) -> ParamTuple:
     return gI_apply(sid.signs, sigma_and_h(sid.row, p))
 
 
-def instantiate(
-    sid: SolutionId,
-    p: ParamTuple,
-    N: int = 200,
-    mode: str = "auto",
-):
+def instantiate(sid: SolutionId, p: ParamTuple, N: int = 200):
     """An evaluable u -> value composite solution, plus its descriptor.
 
     The returned callable takes a scalar u or a numpy array of u (elementwise,
@@ -118,7 +113,7 @@ def instantiate(
     """
     pt = transformed_tuple(sid, p)
     a, b = sid.row.substitution_parts(p.k)
-    coeffs = dl_coefficients(pt, N, mode=mode)
+    coeffs = dl_coefficients(pt, N)
 
     def solution(u):
         w = a * (u + b)

@@ -12,6 +12,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -68,17 +69,21 @@ _TUNING = {"trunc": "truncation", "depth": "cf_depth", "tol": "tolerance", "guar
 
 
 class _Emitter:
+    """One record per line: JSON, or a CSV row under a header line that is
+    written again whenever a record's keys differ from the last header's."""
+
     def __init__(self, cfg: RunConfig, stream=None):
         self.cfg = cfg
         self.stream = stream or sys.stdout
-        self._header_done = False
+        self._csv = csv.writer(self.stream, lineterminator="\n")
+        self._header = None
 
     def emit(self, record: dict) -> None:
         if self.cfg.fmt == "csv":
-            if not self._header_done:
-                self.stream.write(",".join(record.keys()) + "\n")
-                self._header_done = True
-            self.stream.write(",".join(str(v) for v in record.values()) + "\n")
+            if list(record) != self._header:
+                self._header = list(record)
+                self._csv.writerow(self._header)
+            self._csv.writerow(record.values())
         else:
             self.stream.write(json.dumps(record, sort_keys=True) + "\n")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -231,6 +231,10 @@ def _modulus_data_cached(k: complex, *zero_signs: float) -> ModulusData:
     tau = 1j * Kp / K
     q = cmath.exp(1j * cmath.pi * tau)
     if abs(q) >= 1:
+        if zero_signs[1:] == (-1.0,):
+            # a real k < -1 with Im k = -0.0: sn, cn, dn read only k^2, so
+            # the quarter periods, nome and theta zero-values of k + 0j answer
+            return replace(_modulus_data_cached(k.conjugate(), zero_signs[0], 1.0), k=k, kp=kp)
         raise NomeOutOfDisc(f"nome |q| = {abs(q)} >= 1 for k = {k}")
     return ModulusData(k=k, kp=kp, K=K, Kp=Kp, q=q, tau=tau, theta_zero=_theta_all(0.0, q))
 

@@ -182,27 +182,23 @@ def dl_coefficients(p: ParamTuple, N: int, mode: str = "auto") -> SeriesCoeffici
 
     Modes
     -----
+    ``"auto"``
+        Where the tuple does not terminate and h is a root of the continued
+        fraction (within 1e-8, at the depth it needs up to max(2N, 200); see
+        ``_cf_value``), the minimal solution C_m = -t_m C_{m-1}, with t_m
+        the tails of one backward pass at depth max(2N, 200) (Pincherle:
+        the tails are the minimal solution's ratios; ZeroPivot if a partial
+        denominator vanishes).  There the forward pass would be contaminated
+        by the dominant solution after ~16/|log10 k^2| steps.  The forward
+        recursion otherwise.
     ``"forward"``
         Plain forward recursion (the defining construction).
-    ``"minimal"``
-        The minimal solution, C_m = -t_m C_{m-1} with t_m the tails of one
-        backward pass of the continued fraction at depth max(2N, 200)
-        (Pincherle: the tails are the minimal solution's ratios).  This is
-        the numerically faithful construction when h is a root of the
-        infinite continued fraction, where the forward pass would be
-        contaminated by the dominant solution after ~16/|log10 k^2| steps.
-        A tuple that ``termination_check`` finds terminating goes to the
-        forward pass.  Raises ZeroPivot if a partial denominator vanishes.
-    ``"auto"``
-        ``minimal`` when the tuple does not terminate and h sits within
-        1e-8 of a root of that same fraction, at the depth it needs up to
-        max(2N, 200) (see ``_cf_value``); ``forward`` otherwise.
 
     The radius is inf for a terminated series, max(1, |k|^-1) for minimal
-    coefficients at a root and min(1, |k|^-1) otherwise (forward ones follow
-    the dominant solution, also at a root).
+    coefficients and min(1, |k|^-1) otherwise (forward ones follow the
+    dominant solution, also at a root).
     """
-    if mode not in ("auto", "forward", "minimal"):
+    if mode not in ("auto", "forward"):
         raise ValueError(f"unknown mode {mode!r}")
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -211,16 +207,14 @@ def dl_coefficients(p: ParamTuple, N: int, mode: str = "auto") -> SeriesCoeffici
         return _coefficients_forward(p, _weights(p, N), N, q)
     depth = max(2 * N, 200)     # the fraction's depth cap, and the depth of its tails
     tables = _weights(p, depth + 1)
-    if mode == "auto" and not _is_cf_root(p.h, tables, depth):
+    if not _is_cf_root(p.h, tables, depth):
         return _coefficients_forward(p, tables, N, q)
-    g, _, _, tails = _cf_pass(p.h, tables, depth, tails=True)
-    root = abs(g) < _ROOT_TOL
+    tails = _cf_pass(p.h, tables, depth, tails=True)[3]
     vals = [1.0 + 0j]
     for t in tails[1 : N + 1]:
         vals.append(-t * vals[-1])
-    radius = max(1.0, 1.0 / abs(p.k)) if root else min(1.0, 1.0 / abs(p.k))
     return SeriesCoefficients(values=_finite(vals), exps=np.zeros(N + 1, dtype=np.int64),
-                              mode="minimal", terminated_at=None, radius=radius)
+                              mode="minimal", terminated_at=None, radius=max(1.0, 1.0 / abs(p.k)))
 
 
 def _finite(vals: list) -> np.ndarray:
@@ -656,25 +650,26 @@ def dl_eval(
     p: ParamTuple,
     u,
     N: int = 200,
-    mode: str = "auto",
     coeffs: SeriesCoefficients | None = None,
     detail: bool = False,
 ):
     """Evaluate the local solution at u: a complex for a scalar u, a complex
     array of u's shape for a numpy array.
 
-    The prefactor uses principal-branch complex powers (the solution is
-    defined on a cut neighbourhood of the singular point; callers keep
-    evaluation paths on fixed rays).  Raises OutsideConvergence when some
-    |sn u| is not strictly inside the certified radius (its ``index`` names
-    the first such point of an array), PoleProximity when a prefactor base
-    vanishes under a negative exponent, NonConvergence when the sum is not
-    finite.  The certified radius is ``coeffs.radius``.  With ``detail=True``
-    returns a DlValue carrying a geometric tail bound estimated from the
-    Poincare ratio |sn u|^2 / radius^2.
+    The coefficients are `coeffs`, else ``dl_coefficients(p, N)``; a caller
+    that wants forward ones passes ``coeffs=dl_coefficients(p, N,
+    mode="forward")``.  The prefactor uses principal-branch complex powers
+    (the solution is defined on a cut neighbourhood of the singular point;
+    callers keep evaluation paths on fixed rays).  Raises OutsideConvergence
+    when some |sn u| is not strictly inside the certified radius
+    ``coeffs.radius`` (its ``index`` names the first such point of an
+    array), PoleProximity when a prefactor base vanishes under a negative
+    exponent, NonConvergence when the sum is not finite.  With
+    ``detail=True`` returns a DlValue carrying a geometric tail bound
+    estimated from the Poincare ratio |sn u|^2 / radius^2.
     """
     if coeffs is None:
-        coeffs = dl_coefficients(p, N, mode=mode)
+        coeffs = dl_coefficients(p, N)
     return _dl_from_jacobi(p, coeffs, *jacobi_sn_cn_dn(u, p.k), detail=detail)
 
 

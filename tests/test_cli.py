@@ -1,5 +1,7 @@
 """Command-line interface: records, exit codes, determinism."""
 
+import csv
+import io
 import json
 import os
 import pathlib
@@ -199,10 +201,11 @@ class TestCatalog:
         assert len(recs) == 24
         assert all(r["residual"] <= 1e-6 for r in recs)
 
-    @pytest.mark.parametrize("k", ["0.05", "0.02", "0.9999"])
+    @pytest.mark.parametrize("k", ["0.05", "0.02", "0.9999", "-0.6"])
     def test_extreme_modulus_sample_grid_is_full(self, k, capsys):
         # |kappa| = 1/k (rows C), 1/k' (rows D) or k/k' (rows A) is far above
-        # 1 here; the walk in units of 1/|kappa| still finds every point
+        # 1 here; the walk in units of 1/|kappa| still finds every point.
+        # At k = -0.6 rows C have kappa = -5/3 - 0j, below -1 with a -0.0.
         code, out = run_cli(["catalog", "verify", "--all", "--k", k, "--nu", "3", "--h", "5.44"],
                             capsys)
         assert code == EXIT_OK
@@ -316,6 +319,27 @@ class TestDeterminismAndFormats:
         )
         assert code == EXIT_OK
         assert out.splitlines()[0] == "u,re,im,tail_bound"
+
+    @pytest.mark.parametrize("argv", [
+        ["identities", "--tables", "--verbose"],          # sigma and rho values hold commas
+        ["verify"],                                       # two record shapes
+        ["identities", "--tables", "--landen", "--samples", "1"],
+    ], ids=["tables-verbose", "verify", "tables-landen"])
+    def test_csv_rows_parse_to_their_header_width(self, argv, capsys):
+        # each JSON record is one CSV row, after a header line wherever the
+        # record's keys differ from the last header's
+        code, out = run_cli(argv, capsys)
+        code_csv, out_csv = run_cli([*argv, "--format", "csv"], capsys)
+        assert code == code_csv == EXIT_OK
+        rows = csv.reader(io.StringIO(out_csv))
+        header = None
+        for rec in records(out):
+            row = next(rows)
+            if header is None or set(header) != set(rec):
+                header, row = row, next(rows)
+                assert set(header) == set(rec)
+            assert len(row) == len(header), row
+        assert next(rows, None) is None
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--k", "0.6", "--nu", "1", "--h", "0.83", "--points", "0.3"],

@@ -441,12 +441,23 @@ def _in_a_fresh_process(*moduli: str) -> list[str]:
 
 class TestModulusData:
     def test_signed_zero_parts_keep_their_own_entry(self):
-        # -0.5 +- 0j have tau = +-2 + 1.279j; -2 - 0j is refused, -2 + 0j is not
+        # -0.5 +- 0j have tau = +-2 + 1.279j; -2 - 0j, whose own nome is
+        # outside the disc, answers with the tau, q, sn, cn and dn of -2 + 0j
         moduli = ["-0.5+0j", "-0.5-0j", "-2+0j", "-2-0j"]
         fresh = [line for k in moduli for line in _in_a_fresh_process(k)]
-        assert fresh[0] != fresh[1] and fresh[2] != "NomeOutOfDisc" and fresh[3] == "NomeOutOfDisc"
+        assert fresh[0] != fresh[1] and fresh[2] != "NomeOutOfDisc"
+        assert fresh[3] == fresh[2].replace("(-2+0j)", "(-2-0j)", 1) != fresh[2]
         assert _in_a_fresh_process(*moduli) == fresh
         assert _in_a_fresh_process(*moduli[::-1]) == fresh[::-1]
+
+    @pytest.mark.parametrize("x", [-5 / 3, -1.2, -2.0, -4.5])
+    def test_real_modulus_below_minus_one_with_negative_zero_answers(self, x):
+        # sn, cn, dn read only k^2: both signs of the zero give mpmath's values
+        for u in (0.3 + 0.2j, 1.1 - 0.4j, 0.05 + 0.9j):
+            ref = [complex(mp.ellipfun(f, u, m=x * x)) for f in ("sn", "cn", "dn")]
+            for k in (complex(x, -0.0), complex(x, 0.0)):
+                got = jacobi_sn_cn_dn(u, k)
+                assert max(abs(g - r) / max(1, abs(r)) for g, r in zip(got, ref)) < 1e-14
 
     def test_invariants(self):
         for k in (0.3, 0.77 + 0.2j, 1 / 0.6):

@@ -14,6 +14,7 @@ kernel's outputs at h + c to rounding.
 """
 
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darboux import series
+from darboux import catalog, series
 from darboux.errors import (
     CoefficientOverflow,
     DarbouxError,
@@ -126,10 +127,7 @@ def oracle_cf(h, p, depth):
 
 
 def oracle_minimal(p, N):
-    """C_0 = 1, C_m = -t_m C_{m-1} from the tails at max(2N, 200), or the
-    forward pass for a terminating tuple."""
-    if termination_check(p) is not None:
-        return oracle_forward(p, N)
+    """C_0 = 1, C_m = -t_m C_{m-1} from the tails at max(2N, 200)."""
     _, tails = oracle_cf_tails(p.h, p, max(2 * N, 200))
     values = [1.0 + 0j]
     for m in range(1, N + 1):
@@ -137,6 +135,18 @@ def oracle_minimal(p, N):
         if not (cmath.isfinite(values[m].real) and cmath.isfinite(values[m].imag)):
             raise CoefficientOverflow(f"coefficient C_{m} overflowed")
     return np.array(values, dtype=complex), np.zeros(N + 1, dtype=np.int64), None
+
+
+def oracle_auto(p, N):
+    """The forward pass, or the tails' products where the tuple does not
+    terminate and the kernel's root test holds at h."""
+    if termination_check(p) is not None:
+        return oracle_forward(p, N)
+    depth = max(2 * N, 200)
+    tables = series._weights(p, depth + 1)
+    if abs(series._cf_value(p.h, tables, depth)[0]) < series._ROOT_TOL:
+        return oracle_minimal(p, N)
+    return oracle_forward(p, N, tables)
 
 
 def oracle_matrix(p, n, tables=None):
@@ -226,7 +236,7 @@ def test_kernel_matches_list_oracle_bit_for_bit(exps, k, h, N, q):
         exps = (*exps[:3], -(exps[0] + exps[1] + exps[2]) - 2 * q - 4)
     p = ParamTuple(*exps, h=h, k=k)
     assert same_bits(coefficient_outcome(p, N, "forward"), outcome(oracle_forward, p, N))
-    assert same_bits(coefficient_outcome(p, N, "minimal"), outcome(oracle_minimal, p, N))
+    assert same_bits(coefficient_outcome(p, N, "auto"), outcome(oracle_auto, p, N))
     for depth in (1, 37, 400):
         assert same_bits(outcome(kernel_cf, h, p, depth), outcome(oracle_cf, h, p, depth))
     for m in (0, 5, 300):
@@ -243,6 +253,18 @@ def test_kernel_matches_list_oracle_bit_for_bit(exps, k, h, N, q):
             want = series._tridiagonal_eigvals(want)
             want = want[np.argsort(want.real + 1e-9 * want.imag)]
         assert same_bits(outcome(polynomial_eigenvalues, p, qt), want)
+
+
+@pytest.mark.parametrize("p", [
+    ParamTuple(0, 0, 0, 1, 3.6066522808608408, k=0.6),
+    ParamTuple(0, 0, 0, 1.3, 9.068791546444343, k=0.9),
+    ParamTuple(0.1, 0.2, 0.3, 1.5, 5.228576272237274 - 0.14663269447614413j, k=0.5 + 0.3j),
+], ids=["lame", "lame-k0.9", "complex-k"])
+def test_auto_at_a_root_is_the_products_of_the_tails_bit_for_bit(p):
+    # the random accessory parameters above never land on a root
+    coeffs = dl_coefficients(p, 200)
+    assert coeffs.mode == "minimal" and coeffs.radius == max(1.0, 1 / abs(p.k))
+    assert same_bits(coefficient_outcome(p, 200, "auto"), outcome(oracle_minimal, p, 200))
 
 
 #: The printed recursion at h and the kernel at h + c differ only in the
@@ -362,15 +384,14 @@ TERMINATING = ParamTuple(0, 0, 0, 7, 0.0, k=0.6)                 # q = 2
 @pytest.mark.parametrize("call, size", [
     (lambda: dl_coefficients(LAME_ROOT, 200, mode="forward"), 200),
     (lambda: dl_coefficients(LAME_ROOT, 200, mode="auto"), 401),
-    (lambda: dl_coefficients(LAME_ROOT, 200, mode="minimal"), 401),
     (lambda: dl_coefficients(LAME_ROOT, 30, mode="auto"), 201),
-    (lambda: dl_coefficients(TERMINATING, 200, mode="minimal"), 200),
+    (lambda: dl_coefficients(TERMINATING, 200, mode="auto"), 200),
     (lambda: series.darboux_function_eigenvalues(LAME, (0.0, 12.0), depth=400), 801),
     (lambda: infinite_cf(5.0, LAME, depth=300), 302),   # entry 301 bounds a pass at the cap
     (lambda: polynomial_eigenvalues(TERMINATING, 2), 3),
     (lambda: recursion_coeffs(7, LAME), 8),
     (lambda: series.convergence_domain(LAME, 5.0, depth=400), 401),
-], ids=["forward", "auto", "minimal", "auto-N30", "terminating", "function-eigenvalues",
+], ids=["forward", "auto", "auto-N30", "terminating", "function-eigenvalues",
         "infinite-cf", "polynomial-eigenvalues", "recursion-coeffs", "convergence-domain"])
 def test_one_table_per_call_sized_to_what_it_reads(builds, call, size):
     call()
@@ -408,7 +429,7 @@ def test_real_modulus_with_complex_parameters_keeps_signed_zeros(exps, h, k, mod
     assert same_bits(got, outcome(oracle_forward, p, 200))
 
 
-@pytest.mark.parametrize("mode", ["auto", "forward", "minimal"])
+@pytest.mark.parametrize("mode", ["auto", "forward"])
 @pytest.mark.parametrize("p", [LAME_ROOT, TERMINATING, ParamTuple(0.1, 0.2, 0.3, 1.5, 5.44, k=0.6)],
                          ids=["root", "terminating", "generic"])
 def test_one_termination_check_per_coefficient_call(monkeypatch, p, mode):
@@ -466,14 +487,22 @@ def test_forward_overflow_names_the_first_nonfinite_coefficient(h, message):
             dl_coefficients(p, 200, mode="forward")
 
 
-@pytest.mark.parametrize("mode", ["auto", "forward", "minimal"])
+@pytest.mark.parametrize("mode", ["auto", "forward"])
 def test_negative_term_count_refused(mode):
     # as recursion_coeffs refuses m < 0: never one coefficient or numpy's own error
     p = ParamTuple(0.1, 0.2, 0.3, 1.5, 5.0, k=0.6)
     with pytest.raises(ValueError, match="^N must be >= 0$"):
         dl_coefficients(p, -3, mode=mode)
     with pytest.raises(ValueError, match="^N must be >= 0$"):
-        series.dl_eval(p, 0.3, N=-3, mode=mode)
+        series.dl_eval(p, 0.3, N=-3)
+
+
+def test_only_the_two_modes_are_accepted():
+    # tails' products off a root solve no equation of the recursion
+    with pytest.raises(ValueError, match="^unknown mode 'minimal'$"):
+        dl_coefficients(LAME_ROOT, 200, mode="minimal")
+    for call in (series.dl_eval, catalog.instantiate):
+        assert "mode" not in inspect.signature(call).parameters
 
 
 @pytest.mark.parametrize("depth", [1, 5, 40, 400])
@@ -507,29 +536,12 @@ def test_nonfinite_exponent_refused_before_any_table(exps):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("h, c1", [
-    (1e153, None),
-    (1e160, -4.6e-160),
-    (1e160 * (1 + 1j), -2.3e-160 + 2.3e-160j),
-], ids=["1e153", "1e160", "1e160(1+1j)"])
-def test_minimal_mode_at_huge_h_is_finite(h, c1):
-    # the tails are about K_m / h: their products decay, the later ones to
-    # an exact zero, never to a silent NaN or a numpy warning
-    p = ParamTuple(0.1, 0.2, 0.3, 1.5, h, k=0.6)
-    values = dl_coefficients(p, 200, mode="minimal").values
-    assert np.isfinite(values).all()
-    if c1 is not None:
-        assert values[1] == pytest.approx(c1, rel=0.05)
-        assert not values[3:].any()
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("h", [math.inf, math.nan, complex(0, math.inf)])
 def test_nonfinite_accessory_parameter_refused(h):
     p = ParamTuple(0.1, 0.2, 0.3, 1.5, h, k=0.6)
     with pytest.raises(NonFiniteExponent, match="accessory parameter h"):
         infinite_cf(h, p)
-    for mode in ("auto", "forward", "minimal"):
+    for mode in ("auto", "forward"):
         with pytest.raises(NonFiniteExponent, match="accessory parameter h"):
             dl_coefficients(p, 200, mode=mode)
     with pytest.raises(NonFiniteExponent, match="accessory parameter h"):

@@ -93,7 +93,7 @@ class TestTermination:
         # a typed refusal, not the bare OverflowError of int / int or int + float
         with pytest.raises(CoefficientOverflow):
             termination_check(P(*exps, h=5.0))
-        for mode in ("auto", "forward", "minimal"):
+        for mode in ("auto", "forward"):
             with pytest.raises(CoefficientOverflow):
                 dl_coefficients(P(*exps, h=5.0), 10, mode=mode)
 
@@ -101,17 +101,39 @@ class TestTermination:
 class TestRecursionIdentity:
     def test_residual_of_computed_solutions(self):
         # every computed coefficient list satisfies the three-term relation
-        for p, mode in [
-            (P(0.23, -0.41, 0.57, 1.13, h=0.9), "forward"),
-            (P(0, 0, 0, 1, h=3.606652280861), "minimal"),
+        # (auto at the Lame root gives the products of the fraction's tails)
+        for p, mode, built in [
+            (P(0.23, -0.41, 0.57, 1.13, h=0.9), "forward", "forward"),
+            (P(0, 0, 0, 1, h=3.606652280861), "auto", "minimal"),
         ]:
             coeffs = dl_coefficients(p, 120, mode=mode)
+            assert coeffs.mode == built
             scale = max(abs(coeffs.coeff(m)) for m in range(40))
             for m in range(1, 100):
                 rc = recursion_coeffs(m, p)
                 r = rc.M * coeffs.coeff(m + 1) + rc.L * coeffs.coeff(m) + rc.K * coeffs.coeff(m - 1)
                 ref = max(abs(rc.M * coeffs.coeff(m + 1)), abs(rc.L * coeffs.coeff(m)), scale * 1e-30)
                 assert abs(r) <= 1e-13 * max(ref, 1e-300)
+
+    @pytest.mark.parametrize("p", [
+        P(0.2, 0.1, 0.4, 0.9, h=1.2),          # off a root
+        P(0, 0, 0, 1, h=3.606652280861),       # the Lame root on (0, 12)
+        P(0, 0, 0, 3, h=4 * (1 + K * K)),      # terminating at q = 0
+    ], ids=["generic", "lame-root", "terminating"])
+    @pytest.mark.parametrize("mode", ["auto", "forward", "minimal"])
+    def test_every_coefficient_set_solves_the_first_equation(self, p, mode):
+        # M_0 C_1 + L_0 C_0 = 0 to 1e-8 of the magnitudes it is built from,
+        # the root test's contract; the tails' products off a root missed it
+        # by half their size.  A mode that returns no coefficients is refused.
+        try:
+            coeffs = dl_coefficients(p, 200, mode=mode)
+        except ValueError:
+            assert mode == "minimal"
+            return
+        rc = recursion_coeffs(0, p)
+        c0, c1 = coeffs.coeff(0), coeffs.coeff(1)
+        scale = abs(rc.M * c1) + (abs(p.h) + abs(p.h - rc.L)) * abs(c0)
+        assert abs(rc.M * c1 + rc.L * c0) <= 1e-8 * scale
 
     def test_initial_conditions(self):
         coeffs = dl_coefficients(P(0.2, 0.1, 0.4, 0.9, h=1.2), 32)
@@ -208,7 +230,6 @@ class TestDlEval:
     def test_coefficients_carry_their_radius(self):
         assert dl_coefficients(self.LAME_ROOT, 200, mode="forward").radius == 1.0
         assert dl_coefficients(self.LAME_ROOT, 200, mode="auto").radius == 1 / K
-        assert dl_coefficients(P(0.2, 0.1, 0.4, 0.9, h=1.2), 200, mode="minimal").radius == 1.0
         assert dl_coefficients(P(0, 0, 0, 3, h=4 * (1 + K * K)), 200).radius == math.inf
 
     def test_forward_coefficients_at_a_root_keep_the_smaller_radius(self):
@@ -216,9 +237,8 @@ class TestDlEval:
         coeffs = dl_coefficients(self.LAME_ROOT, 200, mode="forward")
         with pytest.raises(OutsideConvergence):
             dl_eval(self.LAME_ROOT, self.BEYOND_ONE, coeffs=coeffs)
-        for mode in ("auto", "minimal"):
-            value = dl_eval(self.LAME_ROOT, self.BEYOND_ONE, mode=mode)
-            assert value == pytest.approx(-1.4149117507375726j, abs=1e-12)
+        value = dl_eval(self.LAME_ROOT, self.BEYOND_ONE)
+        assert value == pytest.approx(-1.4149117507375726j, abs=1e-12)
 
     def test_minimal_tail_bound_uses_the_minimal_ratio(self):
         # rho = |sn u|^2 k^2 = 0.60 there, not |sn u|^2 > 1
