@@ -16,10 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import SINGULAR_POINT_NAMES, jacobi_sn_cn_dn
+from .errors import InsufficientData
 from .series import (
     convergence_domain,
+    darboux_potential,
     dl_coefficients,
     dl_eval,
+    dl_second_derivative,
     termination_check,
 )
 from .symmetry import (
@@ -30,6 +33,7 @@ from .symmetry import (
     gI_apply,
     sigma_and_h,
 )
+from .verify import _guarded_grid, relative_residual
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,16 @@ SAMPLE_ANGLE = cmath.pi / 5
 def sample_points(sid: SolutionId, p: ParamTuple) -> list[complex]:
     """Original-u points whose images w land safely inside the transformed
     series' convergence domain, along a fixed ray from the singular point
-    (fixed rays keep the principal-branch prefactor on one sheet).
+    (fixed rays keep the principal-branch prefactor on one sheet): the
+    points w of ``_ray_points`` at kappa_X, mapped back by u = w/a - b."""
+    a, b = sid.row.substitution_parts(p.k)
+    w = _ray_points(transformed_tuple(sid, p).k)[0]
+    return [complex(x) for x in w / a - b]
+
+
+def _ray_points(kappa: complex):
+    """The points w of ``sample_points`` at the modulus kappa, with (sn, cn,
+    dn)(w, kappa) there: they depend on kappa alone.
 
     The ray is walked outward over ``_WALK``, in units of the transformed
     radius min(1, 1/|kappa|) (one batched sn call per ``_WALK_BLOCK``
@@ -176,9 +189,7 @@ def sample_points(sid: SolutionId, p: ParamTuple) -> list[complex]:
     stencils around the returned points must keep the residual oracle's
     pole guard).
     """
-    pt = transformed_tuple(sid, p)
-    a, b = sid.row.substitution_parts(p.k)
-    radius = min(1.0, 1.0 / abs(pt.k))
+    radius = min(1.0, 1.0 / abs(kappa))
     bound = 0.8 * radius
     direction = cmath.exp(1j * SAMPLE_ANGLE)
     walk = _WALK * radius
@@ -186,10 +197,51 @@ def sample_points(sid: SolutionId, p: ParamTuple) -> list[complex]:
     t_max = walk[-1]
     for lo in range(1, walk.size, _WALK_BLOCK):
         probes = walk[lo:lo + _WALK_BLOCK] * direction
-        crossed = np.flatnonzero(np.abs(jacobi_sn_cn_dn(probes, pt.k)[0]) >= bound)
+        crossed = np.flatnonzero(np.abs(jacobi_sn_cn_dn(probes, kappa)[0]) >= bound)
         if crossed.size:
             t_max = walk[lo - 1 + crossed[0]]
             break
     w = np.linspace(0.35 * t_max, 0.95 * t_max, SAMPLE_COUNT) * direction
-    sn = jacobi_sn_cn_dn(w, pt.k)[0]
-    return [complex(x) for x in (w / a - b)[np.abs(sn) < bound]]
+    sn, cn, dn = jacobi_sn_cn_dn(w, kappa)
+    keep = np.abs(sn) < bound
+    return w[keep], sn[keep], cn[keep], dn[keep]
+
+
+#: ``exact_residuals``' gate: on correct code the residual is at most about
+#: 1e-13 (1.4e-12 at a complex modulus), and an h_X off by 1e-9 relative
+#: lifts most ids above it
+RESIDUAL_GATE = 1e-10
+
+
+def exact_residuals(sids: list[SolutionId], p: ParamTuple, N: int = 200,
+                    guard: float = 0.05) -> list[tuple[float, int]]:
+    """(worst relative residual, point count) of each id's solution over its
+    ``sample_points``, from the series' own second derivative.
+
+    At u = w/a - b the solution is y(u) = Y(w), so y'' + (h - V(u)) y =
+    a^2 Y''(w) + (h - V(u)) Y(w); the residual is its modulus over |a^2 Y''|
+    + |(h - V) Y|, the definition of ``verify.ode_residual``'s report.  The
+    walk, its points w and (sn, cn, dn) there depend only on kappa_X, so the
+    batch makes them once per anharmonic type, and V once for all the ids'
+    points; each id then takes its coefficients and one
+    ``dl_second_derivative`` call.  The points pass ``ode_residual``'s pole
+    guard (PoleProximity within `guard` of a singular point); an id without
+    points raises InsufficientData.
+    """
+    tuples = [transformed_tuple(sid, p) for sid in sids]
+    rays, scales, us = {}, [], []
+    for sid, pt in zip(sids, tuples):
+        if sid.row.anh not in rays:
+            rays[sid.row.anh] = _ray_points(pt.k)
+        a, b = sid.row.substitution_parts(p.k)
+        scales.append(a)
+        us.append(rays[sid.row.anh][0] / a - b)
+        if not us[-1].size:
+            raise InsufficientData(f"no sample points for {sid.label}")
+    potential = darboux_potential(_guarded_grid(np.concatenate(us), p.k, guard), p)
+    out, lo = [], 0
+    for sid, pt, a, u in zip(sids, tuples, scales, us):
+        y, y2 = dl_second_derivative(pt, dl_coefficients(pt, N), *rays[sid.row.anh][1:])
+        out.append((relative_residual(a * a * y2, y, potential[lo:lo + u.size], p.h), u.size))
+        lo += u.size
+    return out

@@ -613,7 +613,7 @@ def _ldexp(z: np.ndarray, e) -> np.ndarray:
     return z
 
 
-def _power_sum(coeffs: SeriesCoefficients, s2: np.ndarray, upto: int):
+def _power_sum(coeffs: SeriesCoefficients, s2: np.ndarray, upto: int, derivatives: bool = False):
     """sum_{m <= upto} C_m s2^m and |C_upto s2^upto|, elementwise over a 1-D s2.
 
     s2 = r 2^e with 1/2 <= |r| < 1 (np.frexp of |s2|).  The powers r^m are
@@ -623,11 +623,14 @@ def _power_sum(coeffs: SeriesCoefficients, s2: np.ndarray, upto: int):
     s2^m alone is outside the float range.  Every _POWER_BLOCK terms the
     running power is renormalised.  The exponent bookkeeping is int64; the
     shift handed to ldexp is clipped to +-_SHIFT_CLIP and cast to a C int,
-    whose ldexp loop is about 10x faster than numpy's int64 one.
+    whose ldexp loop is about 10x faster than numpy's int64 one.  With
+    ``derivatives=True`` the sum is a (points, 3) array: the same terms
+    summed with the weights 1, m and m(m-1), that is S (with the bits of
+    the plain sum), s2 S' and s2^2 S'' (primes: d/ds2).
     """
     _, e = np.frexp(np.abs(s2))
     r = _ldexp(s2.copy(), -e)
-    total = np.zeros(s2.shape, complex)
+    total = np.zeros(s2.shape + ((3,) if derivatives else ()), complex)
     head, head_e = np.ones(s2.shape, complex), np.zeros(s2.shape, np.int64)  # s2^lo = head 2^head_e
     for lo in range(0, upto + 1, _POWER_BLOCK):
         m = np.arange(lo, min(lo + _POWER_BLOCK, upto + 1))
@@ -640,7 +643,11 @@ def _power_sum(coeffs: SeriesCoefficients, s2: np.ndarray, upto: int):
         shift = coeffs.exps[m] + head_e[:, None] + (m - lo) * e[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             terms = _ldexp(pw, np.clip(shift, -_SHIFT_CLIP, _SHIFT_CLIP).astype(np.intc))
-        total += terms.sum(axis=1)
+            if derivatives:
+                total[:, 0] += terms.sum(axis=1)
+                total[:, 1:] += terms @ np.stack([m, m * (m - 1.0)], axis=1)
+            else:
+                total += terms.sum(axis=1)
         _, f = np.frexp(np.abs(head))
         head, head_e = _ldexp(head, -f), head_e + m.size * e + f
     return total, np.abs(terms[:, -1])
@@ -680,27 +687,7 @@ def _dl_from_jacobi(p: ParamTuple, coeffs: SeriesCoefficients, sn, cn, dn, detai
     shape = sn.shape if isinstance(sn, np.ndarray) else None
     sn, cn, dn = (np.asarray(x, complex).ravel() for x in (sn, cn, dn))
     s2 = sn * sn
-    asn = np.abs(sn)
-    outside = asn >= coeffs.radius
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise OutsideConvergence(
-            f"|sn u| = {asn[i]:.6f} outside certified radius", index=None if shape is None else i
-        )
-    xi, eta, mu, nu = p.exponents
-    pref = np.ones(sn.shape, complex)
-    for base, expo in ((sn, xi + 1), (cn, eta + 1), (dn, mu + 1)):
-        if expo == 0:
-            continue
-        zero = base == 0
-        if zero.any() and expo.real <= 0:
-            raise PoleProximity("prefactor base vanished under a non-positive exponent")
-        pref *= np.where(zero, 0, np.exp(expo * np.log(np.where(zero, 1, base))))
-    upto = coeffs.terminated_at if coeffs.terminated_at is not None else len(coeffs) - 1
-    total, last = _power_sum(coeffs, s2, upto)
-    value = pref * total
-    if not np.isfinite(value).all():
-        raise NonConvergence("series sum is not finite")
+    pref, value, _, last = _series_values(p, coeffs, sn, cn, dn, s2, indexed=shape is not None)
     rho = np.abs(s2) / coeffs.radius**2      # 0 for a terminated series
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.where(rho < 1, last * rho / (1 - rho) * np.abs(pref), math.inf)
@@ -709,6 +696,108 @@ def _dl_from_jacobi(p: ParamTuple, coeffs: SeriesCoefficients, sn, cn, dn, detai
     else:
         value, tail = value.reshape(shape), tail.reshape(shape)
     return DlValue(value=value, tail_bound=tail) if detail else value
+
+
+def _series_values(p: ParamTuple, coeffs: SeriesCoefficients, sn, cn, dn, s2, indexed: bool = True,
+                   derivatives: bool = False):
+    """The refusals and the power-sum pass that ``dl_eval`` and
+    ``dl_second_derivative`` share, at flat complex arrays (sn, cn, dn) and
+    s2 = sn^2: (prefactor P, value P S, ``_power_sum``'s sums, |last
+    term|).  OutsideConvergence where |sn| is not strictly inside ``coeffs.radius``
+    (its ``index`` names the first such point when `indexed`), PoleProximity
+    from the prefactor, NonConvergence where P S is not finite."""
+    asn = np.abs(sn)
+    outside = asn >= coeffs.radius
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutsideConvergence(f"|sn u| = {asn[i]:.6f} outside certified radius", index=i if indexed else None)
+    xi, eta, mu, _ = p.exponents
+    pref = _prefactor((sn, cn, dn), (xi + 1, eta + 1, mu + 1))
+    upto = coeffs.terminated_at if coeffs.terminated_at is not None else len(coeffs) - 1
+    sums, last = _power_sum(coeffs, s2, upto, derivatives)
+    value = pref * (sums[:, 0] if derivatives else sums)
+    if not np.isfinite(value).all():
+        raise NonConvergence("series sum is not finite")
+    return pref, value, sums, last
+
+
+def _prefactor(bases, expos) -> np.ndarray:
+    """prod base^expo over the bases (flat complex arrays), principal-branch
+    powers: 0 where a base vanishes under an exponent of positive real part,
+    PoleProximity where one vanishes under a nonzero exponent of real part
+    <= 0."""
+    pref = np.ones(bases[0].shape, complex)
+    for base, expo in zip(bases, expos):
+        if expo == 0:
+            continue
+        zero = base == 0
+        if zero.any() and expo.real <= 0:
+            raise PoleProximity("prefactor base vanished under a non-positive exponent")
+        pref *= np.where(zero, 0, np.exp(expo * np.log(np.where(zero, 1, base))))
+    return pref
+
+
+def dl_second_derivative(p: ParamTuple, coeffs: SeriesCoefficients, sn, cn, dn):
+    """Y(w) and Y''(w) of the local solution Y = P S, from (sn, cn, dn) at
+    the points w (1-D arrays at the modulus p.k), in one power-sum pass.
+
+    P = sn^a cn^b dn^c with (a, b, c) = (xi+1, eta+1, mu+1), and S = sum
+    C_m x^m, x = sn^2.  The pass gives S, x S' and x^2 S'' (primes: d/dx;
+    at x = 0, the series' own C_1 and 2 C_2).  With the log-derivative L =
+    P'/P = a cn dn/sn - b sn dn/cn - c k^2 sn cn/dn and sn' = cn dn, cn' =
+    -sn dn, dn' = -k^2 sn cn (DLMF 22.13),
+
+        Y'' = P [(L' + L^2) S + 2 L x' S' + x'^2 S'' + x'' S'],
+
+    x' = 2 sn cn dn, x'' = 2 (cn^2 dn^2 - sn^2 dn^2 - k^2 sn^2 cn^2).  In
+    closed form L' + L^2 is xi(xi+1) cn^2 dn^2/sn^2 + eta(eta+1) sn^2
+    dn^2/cn^2 + mu(mu+1) k^4 sn^2 cn^2/dn^2 plus terms free of poles, and L
+    x' has no pole, so only those three terms divide by a base.  They take
+    P/base^2 from the prefactor with that base's exponent lowered by 2
+    where the base vanishes: 0 or finite, or PoleProximity where Y'' is
+    unbounded there (``dl_eval``'s rule for P, applied to P/base^2).  The
+    other refusals are ``dl_eval``'s, and NonConvergence where Y'' is not
+    finite.
+    """
+    bases = sn, cn, dn = tuple(np.asarray(x, complex) for x in (sn, cn, dn))
+    s2, c2, d2 = sn * sn, cn * cn, dn * dn
+    pref, y, sums, _ = _series_values(p, coeffs, sn, cn, dn, s2, derivatives=True)
+    S = sums[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S1, S2 = sums[:, 1] / s2, sums[:, 2] / s2 / s2
+    origin = s2 == 0
+    if origin.any():
+        upto = coeffs.terminated_at if coeffs.terminated_at is not None else len(coeffs) - 1
+        lead = np.zeros(3, complex)            # (0, C_1, 2 C_2), the terms past upto zero
+        n = min(upto, 2) + 1
+        with np.errstate(over="ignore"):
+            lead[:n] = _ldexp(coeffs.values[:n] * np.arange(n), coeffs.exps[:n].astype(np.intc))
+        S1[origin], S2[origin] = lead[1], lead[2]
+    xi, eta, mu, _ = p.exponents
+    a, b, c = xi + 1, eta + 1, mu + 1
+    k2 = p.k * p.k
+    cd, sd, sc = c2 * d2, s2 * d2, s2 * c2
+    free = (-(a + b + 2 * a * b) * d2 - (a + c + 2 * a * c) * k2 * c2 + (b + c + 2 * b * c) * k2 * s2) * S
+    free += 2 * ((2 * a + 1) * cd - (2 * b + 1) * sd - (2 * c + 1) * k2 * sc) * S1 + 4 * s2 * cd * S2
+    y2 = pref * free
+    for i, (g, weight) in enumerate(((xi, cd), (eta, sd), (mu, k2 * k2 * sc))):
+        if g * (g + 1) != 0:
+            y2 += g * (g + 1) * weight * S * _over_square(pref, bases, (a, b, c), i)
+    if not np.isfinite(y2).all():
+        raise NonConvergence("second derivative of the series is not finite")
+    return y, y2
+
+
+def _over_square(pref, bases, expos, i: int) -> np.ndarray:
+    """P / bases[i]^2; where that base vanishes, the prefactor with its
+    exponent lowered by 2 (``_prefactor``'s rule)."""
+    base = bases[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = pref / (base * base)
+    zero = base == 0
+    if zero.any():
+        out[zero] = _prefactor([x[zero] for x in bases], [e - 2 * (j == i) for j, e in enumerate(expos)])
+    return out
 
 
 def darboux_potential(u, p: ParamTuple):

@@ -275,14 +275,20 @@ def _guarded_grid(grid, k: complex, guard: float) -> np.ndarray:
     return pts
 
 
+def relative_residual(d2, y, potential, h: complex) -> float:
+    """max |y'' + (h - V) y| / (|y''| + |(h - V) y|) over the points, from y''
+    (`d2`), y and V there."""
+    rest = (h - potential) * y
+    return float(np.max(np.abs(d2 + rest) / (np.abs(d2) + np.abs(rest) + 1e-300)))
+
+
 def _residual_report(vals, potential, h: complex, step: float, require_trusted: bool = True) -> ResidualReport:
     """The report of y'' + (h - V) y = 0 from y's values on a grid's
     stencil (shape (offset, point)) and V at the grid points;
     UntrustedCalibration when the stencil's calibration is not trusted and
     `require_trusted` is on."""
     d2, y = _richardson(vals, step)
-    rest = (h - potential) * y
-    worst = float(np.max(np.abs(d2 + rest) / (np.abs(d2) + np.abs(rest) + 1e-300)))
+    worst = relative_residual(d2, y, potential, h)
     cal = _calibration(len(y), step)
     report = ResidualReport(
         max_relative_residual=worst,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import darboux
+from darboux.catalog import RESIDUAL_GATE
 from darboux.cli import EXIT_DOMAIN, EXIT_MODE, EXIT_OK, EXIT_PIPE, main
 
 
@@ -199,7 +200,7 @@ class TestCatalog:
         assert code == EXIT_OK
         recs = records(out)
         assert len(recs) == 24
-        assert all(r["residual"] <= 1e-6 for r in recs)
+        assert all(r["residual"] <= RESIDUAL_GATE for r in recs)
 
     @pytest.mark.parametrize("k", ["0.05", "0.02", "0.9999", "-0.6"])
     def test_extreme_modulus_sample_grid_is_full(self, k, capsys):
@@ -211,6 +212,7 @@ class TestCatalog:
         assert code == EXIT_OK
         recs = records(out)
         assert len(recs) == 192 and all(r["points"] == 5 for r in recs)
+        assert all(r["residual"] <= RESIDUAL_GATE for r in recs)
 
 
 class TestTransform:
