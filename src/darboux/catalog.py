@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import SINGULAR_POINT_NAMES, jacobi_sn_cn_dn
+from .elliptic import SINGULAR_POINT_NAMES, _guarded_grid, jacobi_sn_cn_dn
 from .errors import InsufficientData
 from .series import (
     convergence_domain,
@@ -23,6 +23,7 @@ from .series import (
     dl_coefficients,
     dl_eval,
     dl_second_derivative,
+    relative_residual,
     termination_check,
 )
 from .symmetry import (
@@ -33,7 +34,6 @@ from .symmetry import (
     gI_apply,
     sigma_and_h,
 )
-from .verify import _guarded_grid, relative_residual
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import catalog as cat
-from . import reductions, verify
 from .elliptic import lambda_of_tau
 from .errors import DarbouxError, OutsideConvergence
 from .series import (
@@ -33,7 +31,9 @@ from .series import (
     termination_check,
 )
 from .symmetry import ANH_TAGS, ParamTuple, anh_element, gii_by_name, scalar_repr, sigma_and_h
-from .weierstrass import evalues_from_modulus
+
+# catalog, reductions, verify and weierstrass are imported by the commands that
+# call them, so that eval, eigen, transform and lambda never compile them
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -186,6 +186,8 @@ def cmd_eigen(args, cfg: RunConfig, out: _Emitter) -> int:
 
 
 def cmd_catalog(args, cfg: RunConfig, out: _Emitter) -> int:
+    from . import catalog as cat
+
     ids = cat.enumerate_192()
     if args.action == "list":
         for sid in ids:
@@ -232,6 +234,8 @@ def cmd_transform(args, cfg: RunConfig, out: _Emitter) -> int:
 
 
 def cmd_identities(args, cfg: RunConfig, out: _Emitter) -> int:
+    from . import reductions, verify
+
     failed = False
     if args.tables:
         report = verify.identity_harness(tol=cfg.tolerance)
@@ -274,8 +278,10 @@ def cmd_lambda(args, cfg: RunConfig, out: _Emitter) -> int:
 
 
 def cmd_weierstrass(args, cfg: RunConfig, out: _Emitter) -> int:
+    from . import verify, weierstrass
+
     if args.subaction == "evalues":
-        ev = evalues_from_modulus(complex(args.k), scale=complex(args.scale))
+        ev = weierstrass.evalues_from_modulus(complex(args.k), scale=complex(args.scale))
         out.emit({"e1": _cstr(ev.e1), "e2": _cstr(ev.e2), "e3": _cstr(ev.e3),
                   "g2": _cstr(ev.g2), "g3": _cstr(ev.g3)})
         return EXIT_OK
@@ -290,6 +296,8 @@ def cmd_weierstrass(args, cfg: RunConfig, out: _Emitter) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig, out: _Emitter) -> int:
+    from . import verify
+
     tables = verify.regenerate_tables(tol=cfg.tolerance)
     report = tables[2]
     for rec in report.records:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DegenerateModulus,
+    InsufficientData,
     LowerHalfPlane,
     NomeOutOfDisc,
     NonConvergence,
@@ -51,10 +52,15 @@ _THETA_CAP = 256
 _THETA_TOL = 1e-17
 
 
-def _check_modulus(k: complex) -> complex:
+def _check_finite_modulus(k: complex) -> complex:
     k = complex(k)
     if not cmath.isfinite(k):
         raise DegenerateModulus(f"modulus must be finite, got {k}")
+    return k
+
+
+def _check_modulus(k: complex) -> complex:
+    k = _check_finite_modulus(k)
     k2 = k * k
     if abs(k2) < _DEGENERATE_TOL or abs(k2 - 1) < _DEGENERATE_TOL:
         raise DegenerateModulus(f"k^2 = {k2} is in {{0, 1}}")
@@ -302,6 +308,26 @@ def _beyond_lattice(u) -> NonConvergence:
     return NonConvergence(f"argument u = {u} is too large: its lattice coordinates are not finite")
 
 
+def _nonempty(sample, what: str):
+    """`sample` itself; InsufficientData when it holds nothing to check."""
+    if len(sample) == 0:
+        raise InsufficientData(f"empty {what}: no point to check")
+    return sample
+
+
+def _guarded_grid(grid, k: complex, guard: float) -> np.ndarray:
+    """The grid as a flat complex array: InsufficientData when it is empty,
+    PoleProximity naming the first point within `guard` of a singular point
+    of the modulus k or a lattice translate."""
+    md = ModulusData.from_modulus(k)
+    pts = _nonempty(np.asarray(grid, dtype=complex).ravel(), "residual grid")
+    # the four half-periods modulo (2K, 2iK') form the lattice (K, iK')
+    near = _lattice_remainder(pts, md.K, 1j * md.Kp) < guard
+    if near.any():
+        raise PoleProximity(f"grid point {pts[near.argmax()]} within guard of singular point")
+    return pts
+
+
 def singular_points(k: complex) -> tuple[complex, complex, complex, complex]:
     """The four half-periods (0, K, K+iK', iK') for the modulus k.
 
@@ -351,7 +377,9 @@ def jacobi_sn_cn_dn(u, k: complex):
     A scalar u gives three complex numbers.  A numpy array of u gives three
     complex arrays of its shape, from one batched theta sum.  A non-finite
     u, or one so large that pi u / (2K) is not finite, raises
-    NonConvergence naming it (an array's first).
+    NonConvergence naming it (an array's first).  An array point where
+    theta_4 is exactly 0, a pole of all three, raises PoleProximity naming
+    it (its first).
     """
     md = ModulusData.from_modulus(complex(k))
     if isinstance(u, np.ndarray) and u.ndim:
@@ -360,7 +388,11 @@ def jacobi_sn_cn_dn(u, k: complex):
             z = cmath.pi * w / (2 * md.K)
         if not np.isfinite(z).all():
             raise _unbounded(w[np.argmin(np.isfinite(z))])
-        t1, t2, t3, t4 = (t.reshape(u.shape) for t in _theta_array(z, md.q))
+        thetas = _theta_array(z, md.q)
+        if np.count_nonzero(thetas[3]) < w.size:   # a third of the cost of .all()
+            u0 = w[np.argmin(thetas[3] != 0)]
+            raise PoleProximity(f"u = {u0} is a pole of sn, cn and dn: theta_4 vanishes there")
+        t1, t2, t3, t4 = (t.reshape(u.shape) for t in thetas)
     else:
         w = complex(u)
         z = cmath.pi * w / (2 * md.K)

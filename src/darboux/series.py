@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _refuse_zero, jacobi_sn_cn_dn
+from .elliptic import _check_finite_modulus, _refuse_zero, jacobi_sn_cn_dn
 from .errors import (
     CoefficientOverflow,
     DegenerateRecursion,
@@ -77,6 +77,17 @@ def _check_log_case(xi: complex) -> None:
         raise LogarithmicCase(f"xi = {xi} is in {{-3/2, -5/2, ...}}")
 
 
+def _check_exponents(exps) -> None:
+    """NonFiniteExponent unless the four exponents are finite; an int beyond
+    the float range raises CoefficientOverflow."""
+    try:
+        finite = all(cmath.isfinite(g) for g in exps)
+    except OverflowError:   # an int beyond the float range
+        raise CoefficientOverflow(f"exponents {exps} are beyond the float range") from None
+    if not finite:
+        raise NonFiniteExponent(f"exponents {exps} are not all finite")
+
+
 def _weights(p: ParamTuple, n: int):
     """The h-free recursion table of p for m = 0..n-1: the three diagonals of
     the truncation matrix J as lists M, D, K of Python scalars, with
@@ -86,11 +97,12 @@ def _weights(p: ParamTuple, n: int):
     0.0 and 0j give int, float and complex entries).  Int tables that could
     pass int64 are built in float (each entry is at most 4 b^2 max(1,
     |k^2|), with b bounding every linear factor); tables beyond the float
-    range raise CoefficientOverflow."""
+    range raise CoefficientOverflow.  A non-finite modulus raises the
+    elliptic layer's DegenerateModulus, before any exponent is read."""
+    _check_finite_modulus(p.k)
+    _check_exponents(p.exponents)
     xi, eta, mu, nu = p.exponents
     k = p.k
-    if not all(cmath.isfinite(g) for g in (xi, eta, mu, nu)):
-        raise NonFiniteExponent(f"exponents {(xi, eta, mu, nu)} are not all finite")
     _check_log_case(xi)
     k2 = k * k
     m2 = np.arange(0, 2 * n, 2)
@@ -129,9 +141,10 @@ def termination_check(p: ParamTuple) -> int | None:
 
     Either xi+eta+mu+nu = -2q-4 or xi+eta+mu-nu = -2q-3, with integer
     matching to tolerance 1e-9 for floating inputs; the smaller admissible
-    q wins.  An int exponent beyond the float range raises
-    CoefficientOverflow.
+    q wins.  A NaN or infinite exponent raises NonFiniteExponent, an int
+    exponent beyond the float range CoefficientOverflow.
     """
+    _check_exponents(p.exponents)
     xi, eta, mu, nu = p.exponents
     try:
         # total = -2q + offset  =>  q = (offset - total) / 2
@@ -786,6 +799,13 @@ def dl_second_derivative(p: ParamTuple, coeffs: SeriesCoefficients, sn, cn, dn):
     if not np.isfinite(y2).all():
         raise NonConvergence("second derivative of the series is not finite")
     return y, y2
+
+
+def relative_residual(d2, y, potential, h: complex) -> float:
+    """max |y'' + (h - V) y| / (|y''| + |(h - V) y|) over the points, from y''
+    (`d2`), y and V there."""
+    rest = (h - potential) * y
+    return float(np.max(np.abs(d2 + rest) / (np.abs(d2) + np.abs(rest) + 1e-300)))
 
 
 def _over_square(pref, bases, expos, i: int) -> np.ndarray:

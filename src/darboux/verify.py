@@ -26,7 +26,9 @@ from .elliptic import (
     ModulusData,
     _check_modulus,
     _glyph,
+    _guarded_grid,
     _lattice_remainder,
+    _nonempty,
     complete_elliptic,
     jacobi_sn_cn_dn,
     lambda_of_tau,
@@ -36,8 +38,6 @@ from .errors import (
     DegenerateRecursion,
     DegenerateWronskian,
     InconclusiveAdjudication,
-    InsufficientData,
-    PoleProximity,
     UntrustedCalibration,
 )
 from .series import (
@@ -47,6 +47,7 @@ from .series import (
     darboux_potential,
     dl_coefficients,
     polynomial_eigenvalues,
+    relative_residual,
     termination_check,
 )
 from .symmetry import (
@@ -158,13 +159,6 @@ def _printed_substitution(anh: str, shift: int, k: complex) -> tuple[complex, co
     return a, singular_points(k)[shift], kappa
 
 
-def _nonempty(sample, what: str):
-    """`sample` itself; InsufficientData when it holds nothing to check."""
-    if len(sample) == 0:
-        raise InsufficientData(f"empty {what}: no point to check")
-    return sample
-
-
 def _moduli(k_values) -> list[complex]:
     """The modulus sample as complex numbers: InsufficientData when empty,
     DegenerateModulus at a modulus ``elliptic`` refuses (k^2 in {0, 1} or
@@ -260,26 +254,6 @@ def ode_residual(
     """
     pts = _guarded_grid(grid, p.k, guard)
     return _residual_report(f(_stencil(pts, step)), darboux_potential(pts, p), p.h, step, require_trusted)
-
-
-def _guarded_grid(grid, k: complex, guard: float) -> np.ndarray:
-    """The grid as a flat complex array: InsufficientData when it is empty,
-    PoleProximity naming the first point within `guard` of a singular point
-    of the modulus k or a lattice translate."""
-    md = ModulusData.from_modulus(k)
-    pts = _nonempty(np.asarray(grid, dtype=complex).ravel(), "residual grid")
-    # the four half-periods modulo (2K, 2iK') form the lattice (K, iK')
-    near = _lattice_remainder(pts, md.K, 1j * md.Kp) < guard
-    if near.any():
-        raise PoleProximity(f"grid point {pts[near.argmax()]} within guard of singular point")
-    return pts
-
-
-def relative_residual(d2, y, potential, h: complex) -> float:
-    """max |y'' + (h - V) y| / (|y''| + |(h - V) y|) over the points, from y''
-    (`d2`), y and V there."""
-    rest = (h - potential) * y
-    return float(np.max(np.abs(d2 + rest) / (np.abs(d2) + np.abs(rest) + 1e-300)))
 
 
 def _residual_report(vals, potential, h: complex, step: float, require_trusted: bool = True) -> ResidualReport:

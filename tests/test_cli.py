@@ -1,6 +1,7 @@
 """Command-line interface: records, exit codes, determinism."""
 
 import csv
+import importlib
 import io
 import json
 import os
@@ -72,6 +73,27 @@ class TestEval:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_point_on_a_pole_exit_2_one_error_line(self, capsys):
+        # iK' at k = 0.9: theta_4 is exactly 0 there, so sn, cn and dn divide by 0
+        code = main(["eval", "--k", "0.9", "--xi", "0.3", "--nu", "1.3", "--h", "2",
+                     "--points", "0.3", "1.654616667522527j"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err == ("error: u = 1.654616667522527j is a pole of sn, cn and dn: "
+                                "theta_4 vanishes there\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--k", "nan", "--nu", "1", "--h", "0.83"],
+        ["eval", "--k", "inf", "--nu", "1", "--h", "0.83"],
+        ["eigen", "--k", "nan", "--nu", "1", "--mode", "function", "--region", "0", "12"],
+    ], ids=["eval-nan", "eval-inf", "eigen-nan"])
+    def test_nonfinite_modulus_is_the_elliptic_refusal(self, argv, capsys):
+        # the refusal catalog, transform and weierstrass give, not a table overflow
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err == f"error: modulus must be finite, got {complex(argv[2])}\n"
+
     @pytest.mark.parametrize("xi", ["inf", "nan"])
     def test_nonfinite_exponent_exit_2_one_error_line(self, xi, capsys):
         code = main(["eval", "--k", "0.6", "--nu", "1", "--xi", xi, "--h", "0.83", "--points", "0.3"])
@@ -127,6 +149,14 @@ class TestEigen:
         )
         assert code == EXIT_OK
         assert abs(complex(records(out)[0]["h"]) - 1.36) < 1e-10
+
+    def test_polynomial_mode_nan_exponent_exit_2_one_error_line(self, capsys):
+        # an input error, not a mode mismatch (exit 3)
+        code = main(["eigen", "--k", "0.6", "--nu", "nan", "--mode", "polynomial"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: exponents")
 
     def test_mode_mismatch_exit_3(self, capsys):
         code, _ = run_cli(
@@ -427,3 +457,88 @@ class TestVerifyCommand:
         assert verdict and verdict[0]["verdict"] == "corrected"
         # only repaired/failed table rows are listed; none may be "failed"
         assert all(r.get("status") != "failed" for r in recs)
+
+
+#: The public names of ``darboux``, each with its home module.
+PUBLIC_NAMES = {
+    "elliptic": ["JACOBI_CODES", "ModulusData", "complete_elliptic", "jacobi", "jacobi_sn_cn_dn",
+                 "lambda_of_tau", "nome_and_tau", "theta"],
+    "symmetry": ["GroupElement", "ParamTuple", "SignVector", "anh_element", "anh_elements",
+                 "apply_to_variable", "enumerate_group", "gI_apply", "gii_by_name", "gii_compose",
+                 "gii_elements", "semidirect_compose", "sigma_and_h"],
+    "series": ["convergence_domain", "darboux_function_eigenvalues", "darboux_potential",
+               "dl_coefficients", "dl_eval", "infinite_cf", "polynomial_eigenvalues",
+               "ratio_diagnostic", "recursion_coeffs", "termination_check"],
+    "weierstrass": ["CurvePoint", "EValues", "accessory_weierstrass", "anh_on_E", "curve_add",
+                    "darboux_potential_algebraic", "evalues_from_modulus", "evalues_from_tau",
+                    "half_period_shift", "wp", "wp_tau"],
+    "catalog": ["SolutionId", "classify", "enumerate_192", "instantiate",
+                "transformed_convergence", "transformed_termination"],
+    "reductions": ["assoc_lame_subgroup", "duplication_pair", "lame_subgroup", "landen_pair"],
+    "verify": ["identity_harness", "lvariant_adjudicator", "ode_residual", "wronskian_constancy"],
+}
+
+#: Runs the CLI with its argv in a fresh interpreter, then prints the exit
+#: code and the darboux modules it loaded.
+CLI_PROBE = (
+    "import contextlib, io, sys\n"
+    "from darboux.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('darboux')))\n"
+)
+
+
+def _fresh(*argv) -> list[str]:
+    """The stdout words of ``python -c`` with `argv`, in a fresh interpreter
+    that imports darboux from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(darboux.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestImportGraph:
+    """Each process loads only the layers it calls: the package's names
+    resolve on first use and each command imports the layers it calls."""
+
+    def test_group_elements_load_three_layers(self):
+        loaded = _fresh("import sys, darboux; darboux.gii_elements(); "
+                        "print(*sorted(m for m in sys.modules if m.startswith('darboux')))")
+        assert loaded == ["darboux", "darboux.data", "darboux.elliptic", "darboux.errors",
+                          "darboux.symmetry"]
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["eigen", "--k", "0.6", "--nu", "1", "--mode", "function", "--region", "0", "12"], []),
+        (["eval", "--k", "0.99", "--nu", "1", "--h", "0.83"], []),
+        (["catalog", "verify", "--all", "--k", "0.6", "--nu", "3", "--h", "5.44"],
+         ["darboux.catalog", "darboux.data"]),
+    ], ids=["eigen", "eval", "catalog-verify"])
+    def test_command_loads_only_its_layers(self, argv, layers):
+        code, *loaded = _fresh(CLI_PROBE, *argv)
+        assert code == str(EXIT_OK)
+        assert loaded == sorted(["darboux", "darboux.cli", "darboux.elliptic", "darboux.errors",
+                                 "darboux.series", "darboux.symmetry", *layers])
+
+    def test_public_names(self):
+        assert len(darboux.__all__) == 56
+        assert darboux.__all__ == [name for names in PUBLIC_NAMES.values() for name in names]
+        assert set(darboux.__all__) <= set(dir(darboux))
+
+    @pytest.mark.parametrize("module", PUBLIC_NAMES)
+    def test_each_name_is_its_home_module_object(self, module):
+        home = importlib.import_module(f"darboux.{module}")
+        for name in PUBLIC_NAMES[module]:
+            assert getattr(darboux, name) is getattr(home, name)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from darboux import *", namespace)
+        assert set(darboux.__all__) <= set(namespace)
+        assert all(namespace[name] is getattr(darboux, name) for name in darboux.__all__)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            darboux.no_such_name
+        assert not hasattr(darboux, "_guarded_grid")

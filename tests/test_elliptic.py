@@ -313,6 +313,14 @@ class TestJacobi:
         with pytest.raises(PoleProximity):
             jacobi("ns", 0, 0.6, guard=0)
 
+    @pytest.mark.parametrize("u", [np.array([0.3, 1.654616667522527j]),
+                                   np.array([[1.654616667522527j], [0.3]])])
+    def test_exact_pole_in_an_array_is_typed(self, u):
+        # theta_4 is exactly 0 at this iK' for k = 0.9: a typed refusal naming
+        # the point, not NaN with a RuntimeWarning
+        with pytest.raises(PoleProximity, match=r"^u = 1\.654616667522527j is a pole"):
+            jacobi_sn_cn_dn(u, 0.9)
+
     def test_glyph_entry_at_exact_pole_is_typed(self):
         with pytest.raises(PoleProximity):
             GlyphEntry(scalar=(0, 0, 0), glyph="ds").value(0j, 0.6)

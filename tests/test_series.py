@@ -15,10 +15,12 @@ from darboux.elliptic import complete_elliptic, jacobi_sn_cn_dn
 from darboux.errors import (
     CoefficientOverflow,
     DarbouxError,
+    DegenerateModulus,
     DegenerateRecursion,
     InsufficientData,
     LogarithmicCase,
     ModulusOnUnitCircle,
+    NonFiniteExponent,
     OutsideConvergence,
     PoleProximity,
 )
@@ -77,6 +79,19 @@ class TestRecursionCoeffs:
         # -1/2 is fine: M_m never vanishes there
         recursion_coeffs(0, P(-0.5, 0, 0, 0))
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, complex(0.6, math.nan)])
+    def test_nonfinite_modulus_is_the_elliptic_refusal(self, k):
+        # checked before the exponents, with the message elliptic gives
+        with pytest.raises(DegenerateModulus, match=r"^modulus must be finite, got "):
+            recursion_coeffs(0, P(0, 0, 0, math.nan, k=k))
+        with pytest.raises(DegenerateModulus, match=r"^modulus must be finite, got "):
+            dl_coefficients(P(0, 0, 0, 1, h=0.83, k=k), 20)
+
+    @pytest.mark.parametrize("k", [0, 1, -1.0])
+    def test_modulus_with_square_0_or_1_keeps_its_tables(self, k):
+        rc = recursion_coeffs(1, P(0, 0, 0, 3, h=0.5, k=k))
+        assert rc.K == 0 and rc.M == 4 * 5
+
 
 class TestTermination:
     def test_examples(self):
@@ -96,6 +111,14 @@ class TestTermination:
         for mode in ("auto", "forward"):
             with pytest.raises(CoefficientOverflow):
                 dl_coefficients(P(*exps, h=5.0), 10, mode=mode)
+        with pytest.raises(CoefficientOverflow):
+            recursion_coeffs(0, P(*exps, h=5.0))
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, complex(3, math.nan)])
+    def test_nonfinite_exponent_is_refused(self, nu):
+        # the refusal the recursion tables give, not "no termination"
+        with pytest.raises(NonFiniteExponent):
+            termination_check(P(0, 0, 0, nu))
 
 
 class TestRecursionIdentity:
